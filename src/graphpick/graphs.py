@@ -119,16 +119,23 @@ class ColoredGraph:
         return all(c.kind in ("z", "w") for c in self.colors)
 
 
+def colored_rows(g: ColoredGraph) -> dict[int, dict[int, RatFun]]:
+    """Nonzero entries of the colored adjacency matrix, row by row."""
+    rows = {v: {} for v in range(1, g.n + 1)}
+    for v in rows:
+        d = g.color(v).diagonal()
+        if not d.is_zero:
+            rows[v][v] = d
+    for i, j in g.edges:
+        rows[i][j] = _RF_ONE
+        rows[j][i] = _RF_ONE
+    return rows
+
+
 def colored_adjacency(g: ColoredGraph) -> SymMatrix:
     """Adjacency matrix with the color diagonal (-z, -w or -label)."""
-    n = g.n
-    rows = [[_RF_ZERO] * n for _ in range(n)]
-    for v in range(1, n + 1):
-        rows[v - 1][v - 1] = g.color(v).diagonal()
-    for i, j in g.edges:
-        rows[i - 1][j - 1] = _RF_ONE
-        rows[j - 1][i - 1] = _RF_ONE
-    return SymMatrix(tuple(tuple(r) for r in rows))
+    rows = colored_rows(g)
+    return SymMatrix(tuple(tuple(row.get(j, _RF_ZERO) for j in rows) for row in rows.values()))
 
 
 def relabel(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
@@ -240,6 +247,10 @@ def retract(
     )
     piece = ColoredGraph(k_colors, k_edges, 1)
     f_piece = inverse_entry(colored_adjacency(piece), 1)
+    if f_piece.is_zero:
+        raise ValueError(
+            f"cannot retract at cut vertex {cut}: the piece's representing function is 0"
+        )
     g_piece = f_piece.reciprocal()
 
     keep = [v for v in range(1, n + 1) if v not in ks]

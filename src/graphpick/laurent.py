@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, distance
-from .linalg import SymMatrix, inverse_entry
+from .graphs import Z_COLOR, ColoredGraph, colored_adjacency, distance
+from .linalg import inverse_entry
 from .nevanlinna import representing_function
 from .ratfun import Polynomial, RatFun
 
 _P_ZERO = Polynomial.zero()
 _RF_ZERO = RatFun(0)
-_RF_ONE = RatFun(1)
-_Z = Polynomial.variable("z")
 
 
 @dataclass(frozen=True)
@@ -144,16 +142,9 @@ def walk_generating_series(
     n = g.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("vertex out of range")
-    rows = [[_RF_ZERO] * n for _ in range(n)]
-    minus_z = RatFun(-_Z)
-    for v in range(n):
-        rows[v][v] = minus_z
-    for a, b in g.edges:
-        rows[a - 1][b - 1] = _RF_ONE
-        rows[b - 1][a - 1] = _RF_ONE
-    m = SymMatrix(tuple(tuple(r) for r in rows))
-    entry = inverse_entry(m, i, j)
-    return expand_at_infinity(entry, order)
+    # A - zI is the colored adjacency matrix of the all-z recoloring
+    m = colored_adjacency(ColoredGraph((Z_COLOR,) * n, g.edges))
+    return expand_at_infinity(inverse_entry(m, i, j), order)
 
 
 def first_nonzero_order(s: LaurentSeries) -> int:

@@ -1,36 +1,47 @@
 """Exact linear algebra over rational-function entries.
 
-Determinants are computed fraction-free: denominators are cleared one
-column at a time, a Bareiss elimination runs over the resulting integer
-polynomials, and the accumulated column scalars are divided back at the
-end.  Inverse entries come from the cofactor formula, Schur complements
-from block elimination over the rational-function field.
+Every matrix here is symmetric, and every operation is a thin wrapper
+around one routine, :func:`eliminate`: symmetric fraction-free (Bareiss)
+elimination of every index outside a ``keep`` set, in min-degree order,
+after denominators are cleared by a diagonal scaling D*A*D.  Every
+intermediate entry is a bordered minor, so every division is exact, and
+entries a step does not touch are rescaled lazily.  Where every eliminable
+diagonal entry is zero, two steps make up a 2x2 block pivot.  The
+determinant keeps no index, an inverse entry keeps its one or two indices,
+and a Schur complement keeps the requested block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Collection, Iterable, Sequence
 
-from .ratfun import Polynomial, RatFun, poly_lcm
+from .ratfun import Polynomial, RatFun, poly_gcd, poly_lcm
 
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
 _RF_ZERO = RatFun(0)
-_RF_ONE = RatFun(1)
+
+# A sparse symmetric matrix: 1-based index -> {index: entry}, with both
+# triangles present; zero entries may be left out.
+Rows = dict[int, dict[int, RatFun]]
 
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Square matrix of rational functions; indices are 1-based."""
+    """Symmetric square matrix of rational functions; indices are 1-based."""
 
     rows: tuple[tuple[RatFun, ...], ...]
 
     def __post_init__(self):
         n = len(self.rows)
-        for row in self.rows:
+        for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError("matrix rows must all have the same length")
+            if any(row[j] != self.rows[j][i] for j in range(i)):
+                raise ValueError(f"matrix is not symmetric in row {i + 1}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> SymMatrix:
@@ -58,63 +69,149 @@ class SymMatrix:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
 
 
-def _bareiss(grid: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a polynomial matrix by fraction-free elimination."""
-    n = len(grid)
-    if n == 0:
-        return _P_ONE
-    sign = 1
-    prev = _P_ONE
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not grid[i][k].is_zero), None)
-        if pivot_row is None:
-            return _P_ZERO
-        if pivot_row != k:
-            grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-            sign = -sign
-        pivot = grid[k][k]
-        for i in range(k + 1, n):
-            row_i = grid[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - head * grid[k][j]).exact_div(prev)
-            row_i[k] = _P_ZERO
-        prev = pivot
-    det = grid[n - 1][n - 1]
-    return -det if sign < 0 else det
+def _sparse(m: SymMatrix) -> Rows:
+    return {
+        i: {j: e for j, e in enumerate(row, 1) if not e.is_zero}
+        for i, row in enumerate(m.rows, 1)
+    }
+
+
+def eliminate(rows: Rows, keep: Collection[int]):
+    """Eliminate every index outside ``keep`` from a sparse symmetric matrix.
+
+    The matrix A is first scaled to the polynomial matrix B = D*A*D/c, with
+    d_i the lcm of the denominators in row i and c the gcd of all d_i.
+    Returns ``(left, pivot, scale)``: ``pivot`` is the determinant of the
+    eliminated block of B, ``scale(i, j)`` is d_i*d_j/c, so that A_ij is
+    B_ij / scale(i, j), and ``left`` holds the nonzero fraction-free
+    entries among the indices not eliminated: the Schur complement entry
+    (i, j) of A is ``left[i][j] / (pivot * scale(i, j))``.  Besides
+    ``keep``, ``left`` holds eliminable indices only when the eliminable
+    block is singular, and then its Schur complement is zero there.
+    """
+    dens = {
+        i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
+        for i, row in rows.items()
+    }
+    c = reduce(poly_gcd, set(dens.values()), _P_ZERO)
+    cofactors = {i: d.exact_div(c) for i, d in dens.items()}
+
+    def scale(i: int, j: int) -> Polynomial:
+        return dens[i] * cofactors[j]
+
+    # cell = [value, generation]; both triangles share one cell
+    adj: dict[int, dict[int, list]] = {i: {} for i in rows}
+    pivots: list[Polynomial] = [_P_ONE]
+
+    def refresh(i: int, j: int, gen: int) -> Polynomial | None:
+        cell = adj[i].get(j)
+        if cell is None:
+            return None
+        if cell[1] < gen:
+            cell[0] = (cell[0] * pivots[gen]).exact_div(pivots[cell[1]])
+            cell[1] = gen
+        return cell[0]
+
+    def store(i: int, j: int, value: Polynomial, gen: int) -> None:
+        if value.is_zero:
+            adj[i].pop(j, None)
+            adj[j].pop(i, None)
+        else:
+            cell = [value, gen]
+            adj[i][j] = cell
+            adj[j][i] = cell
+
+    for i, row in rows.items():
+        for j, e in row.items():
+            if j >= i:
+                store(i, j, e.num * dens[i].exact_div(e.den) * cofactors[j], 0)
+
+    while True:
+        gen = len(pivots) - 1
+        free = {v for v in adj if v not in keep}
+        candidates = [v for v in free if v in adj[v]]
+        if not candidates:
+            # Add row and column v to row and column u, for eliminable u, v
+            # with a_uv != 0.  This congruence keeps the Schur complement and
+            # sets a_uu = 2*a_uv; eliminating u, then v, pivots on the block.
+            pairs = [
+                (len(adj[u]) + len(adj[v]), u, v) for u in free for v in adj[u] if v in free
+            ]
+            if not pairs:
+                break
+            _, u, v = min(pairs)
+            for x in adj[v]:
+                if x != u:
+                    store(u, x, (refresh(u, x, gen) or _P_ZERO) + refresh(v, x, gen), gen)
+            store(u, u, 2 * refresh(u, v, gen), gen)
+            candidates = [u]
+        v = min(candidates, key=lambda u: (len(adj[u]), u))
+        pivot = refresh(v, v, gen)
+        prev = pivots[gen]
+        pivots.append(pivot)
+        nbrs = sorted(u for u in adj[v] if u != v)
+        column = {u: refresh(u, v, gen) for u in nbrs}
+        for a_idx, i in enumerate(nbrs):
+            col_i = column[i]
+            for j in nbrs[a_idx:]:
+                m_ij = refresh(i, j, gen)
+                fill = col_i * column[j]
+                if m_ij is None:
+                    new = (-fill).exact_div(prev)
+                else:
+                    new = (m_ij * pivot - fill).exact_div(prev)
+                store(i, j, new, gen + 1)
+        for u in nbrs:
+            del adj[u][v]
+        del adj[v]
+
+    gen = len(pivots) - 1
+    left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}
+    return left, pivots[-1], scale
 
 
 def determinant(m: SymMatrix) -> RatFun:
     """Exact determinant; the zero rational function for singular input."""
-    n = m.n
-    if n == 0:
-        return _RF_ONE
-    grid: list[list[Polynomial]] = [[None] * n for _ in range(n)]
-    scale = _P_ONE
-    for j in range(n):
-        col_lcm = _P_ONE
-        for i in range(n):
-            den = m.rows[i][j].den
-            if den != _P_ONE:
-                col_lcm = poly_lcm(col_lcm, den)
-        for i in range(n):
-            e = m.rows[i][j]
-            grid[i][j] = e.num * col_lcm.exact_div(e.den)
-        scale = scale * col_lcm
-    return RatFun(_bareiss(grid), scale)
+    left, pivot, scale = eliminate(_sparse(m), ())
+    if left:
+        return _RF_ZERO
+    return RatFun(pivot, math.prod((scale(i, i) for i in range(1, m.n + 1)), start=_P_ONE))
 
 
-def _minor(m: SymMatrix, drop_row: int, drop_col: int) -> SymMatrix:
-    rows = []
-    for i, row in enumerate(m.rows):
-        if i == drop_row:
-            continue
-        rows.append(tuple(e for j, e in enumerate(row) if j != drop_col))
-    return SymMatrix(tuple(rows))
+def sparse_inverse_entry(rows: Rows, i: int, j: int) -> RatFun:
+    """Entry (i, j) of the inverse of a sparse symmetric matrix."""
+    left, pivot, scale = eliminate(rows, {i, j})
+    if i == j:
+        if len(left) > 1:
+            # The cofactor of (i, i) is singular, so by Jacobi's identity the
+            # entry is 0 if A is invertible, which needs one index left next to i.
+            if len(left) == 2 and any(r != i for r in left[i]):
+                return _RF_ZERO
+            raise ValueError("singular colored matrix")
+        if i not in left[i]:
+            raise ValueError("singular colored matrix")
+        return RatFun(pivot * scale(i, i), left[i][i])
+    if len(left) == 2:
+        a_ij = left[i].get(j, _P_ZERO)
+        a_ii = left[i].get(i, _P_ZERO)
+        a_jj = left[j].get(j, _P_ZERO)
+        det = (a_ii * a_jj - a_ij * a_ij).exact_div(pivot)
+        if det.is_zero:
+            raise ValueError("singular colored matrix")
+        return RatFun(-a_ij * scale(i, j), det)
+    # No Schur complement onto {i, j}.  Subtracting row and column j from
+    # row and column i is a congruence after which the (j, j) inverse entry
+    # is (e_i + e_j)^T A^-1 (e_i + e_j); polarize.
+    moved = {r: dict(row) for r, row in rows.items()}
+    for c in rows:
+        moved[i][c] = moved[c][i] = rows[i].get(c, _RF_ZERO) - rows[j].get(c, _RF_ZERO)
+    moved[i][i] = moved[i][i] - rows[j].get(i, _RF_ZERO) + rows[j].get(j, _RF_ZERO)
+    diagonal = sparse_inverse_entry(rows, i, i) + sparse_inverse_entry(rows, j, j)
+    return (sparse_inverse_entry(moved, j, j) - diagonal) / 2
 
 
 def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
-    """Entry (i, j) of the matrix inverse via the cofactor formula.
+    """Entry (i, j) of the matrix inverse.
 
     Defaults to the diagonal entry (i, i).  Indices are 1-based.
     """
@@ -123,37 +220,7 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
     n = m.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"index ({i}, {j}) out of range for a {n}x{n} matrix")
-    det = determinant(m)
-    if det.is_zero:
-        raise ValueError("singular colored matrix")
-    cof = determinant(_minor(m, j - 1, i - 1))
-    if (i + j) % 2:
-        cof = -cof
-    return cof / det
-
-
-def _invert_field(rows: list[list[RatFun]]) -> list[list[RatFun]]:
-    """Gauss-Jordan inverse over the rational-function field."""
-    n = len(rows)
-    aug = [
-        list(rows[i]) + [_RF_ONE if i == j else _RF_ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not aug[r][col].is_zero), None
-        )
-        if pivot_row is None:
-            raise ValueError("singular block in Schur reduction")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col].reciprocal()
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return sparse_inverse_entry(_sparse(m), i, j)
 
 
 def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
@@ -168,28 +235,9 @@ def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
         raise ValueError("keep set must not be empty")
     if ks[0] < 1 or ks[-1] > n:
         raise ValueError("keep set out of range")
-    rest = [i for i in range(1, n + 1) if i not in set(ks)]
-    if not rest:
-        return m
-    a11 = [[m.entry(i, j) for j in ks] for i in ks]
-    a12 = [[m.entry(i, j) for j in rest] for i in ks]
-    a21 = [[m.entry(i, j) for j in ks] for i in rest]
-    a22 = [[m.entry(i, j) for j in rest] for i in rest]
-    inv22 = _invert_field(a22)
-    p = len(ks)
-    q = len(rest)
-    out = []
-    for r in range(p):
-        row = []
-        for c in range(p):
-            acc = a11[r][c]
-            for s in range(q):
-                if a12[r][s].is_zero:
-                    continue
-                inner = _RF_ZERO
-                for t in range(q):
-                    inner = inner + inv22[s][t] * a21[t][c]
-                acc = acc - a12[r][s] * inner
-            row.append(acc)
-        out.append(tuple(row))
-    return SymMatrix(tuple(out))
+    left, pivot, scale = eliminate(_sparse(m), ks)
+    if len(left) > len(ks):
+        raise ValueError("singular block in Schur reduction")
+    return SymMatrix(
+        tuple(tuple(RatFun(left[i].get(j, _P_ZERO), pivot * scale(i, j)) for j in ks) for i in ks)
+    )

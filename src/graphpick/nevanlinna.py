@@ -1,51 +1,20 @@
 """Representing functions of colored graphs and the product identities.
 
 The representing function at vertex k is the (k, k) entry of the inverse
-colored adjacency matrix.  It is computed by symmetric fraction-free
-elimination: vertices other than k are eliminated one at a time in
-min-degree order, every intermediate entry stays a polynomial minor, and
-entries untouched by an elimination are rescaled lazily.  The last pivot
-and the final surviving entry are exactly the cofactor and determinant,
-so a single pass yields the reduced rational function.
+colored adjacency matrix.  It is built straight from the graph's colors and
+edges as a sparse symmetric matrix and handed to the one elimination
+routine of :mod:`graphpick.linalg`, which eliminates every other vertex:
+the last pivot and the surviving entry are the cofactor and the
+determinant, so a single pass yields the reduced rational function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, colored_adjacency, comb_product_z, retract, star_product
-from .linalg import SymMatrix, inverse_entry
-from .ratfun import Polynomial, RatFun
-
-_P_ONE = Polynomial.one()
-_P_ZERO = Polynomial.zero()
-
-
-def _scaled_entries(g: ColoredGraph):
-    """Entries of D*A*D with D the diagonal of color denominators.
-
-    Clearing denominators this way keeps the matrix symmetric and purely
-    polynomial; the (k, k) inverse entry of A is q_k^2 times that of the
-    scaled matrix.
-    """
-    n = g.n
-    dens = []
-    diags = []
-    for v in range(1, n + 1):
-        d = g.color(v).diagonal()
-        dens.append(d.den)
-        diags.append(d.num)
-    adj: dict[int, dict[int, list]] = {v: {} for v in range(1, n + 1)}
-    for v in range(1, n + 1):
-        p = diags[v - 1] * dens[v - 1]
-        if not p.is_zero:
-            adj[v][v] = [p, 0]
-    for i, j in g.edges:
-        p = dens[i - 1] * dens[j - 1]
-        cell = [p, 0]
-        adj[i][j] = cell
-        adj[j][i] = cell
-    return adj, dens
+from .graphs import ColoredGraph, colored_rows, comb_product_z, retract, star_product
+from .linalg import sparse_inverse_entry
+from .ratfun import RatFun
 
 
 def representing_function(g: ColoredGraph, vertex: int | None = None) -> RatFun:
@@ -56,74 +25,7 @@ def representing_function(g: ColoredGraph, vertex: int | None = None) -> RatFun:
     k = g.root if vertex is None else vertex
     if not (1 <= k <= g.n):
         raise ValueError(f"vertex {k} out of range 1..{g.n}")
-    adj, dens = _scaled_entries(g)
-    pivots: list[Polynomial] = [_P_ONE]
-    live = set(range(1, g.n + 1))
-
-    def refresh(i: int, j: int, gen: int) -> Polynomial | None:
-        cell = adj[i].get(j)
-        if cell is None:
-            return None
-        if cell[1] < gen:
-            cell[0] = (cell[0] * pivots[gen]).exact_div(pivots[cell[1]])
-            cell[1] = gen
-        return cell[0]
-
-    qk = dens[k - 1]
-    while len(live) > 1:
-        gen = len(pivots) - 1
-        candidates = [v for v in live if v != k and v in adj[v]]
-        if not candidates:
-            return _dense_finish(adj, live, pivots, gen, k, qk, refresh)
-        v = min(candidates, key=lambda u: (len(adj[u]), u))
-        pivot = refresh(v, v, gen)
-        prev = pivots[gen]
-        pivots.append(pivot)
-        nbrs = sorted(u for u in adj[v] if u != v)
-        column = {u: refresh(u, v, gen) for u in nbrs}
-        for a_idx, i in enumerate(nbrs):
-            col_i = column[i]
-            for j in nbrs[a_idx:]:
-                m_ij = refresh(i, j, gen)
-                fill = col_i * column[j]
-                if m_ij is None:
-                    new = (-fill).exact_div(prev)
-                else:
-                    new = (m_ij * pivot - fill).exact_div(prev)
-                if new.is_zero:
-                    adj[i].pop(j, None)
-                    adj[j].pop(i, None)
-                else:
-                    cell = [new, gen + 1]
-                    adj[i][j] = cell
-                    adj[j][i] = cell
-        for u in nbrs:
-            del adj[u][v]
-        del adj[v]
-        live.discard(v)
-
-    gen = len(pivots) - 1
-    final = refresh(k, k, gen)
-    if final is None or final.is_zero:
-        raise ValueError("singular colored matrix")
-    return RatFun(pivots[-1] * qk * qk, final)
-
-
-def _dense_finish(adj, live, pivots, gen, k, qk, refresh):
-    # no usable diagonal pivot left: fall back to cofactor determinants on
-    # the remaining Schur complement
-    order = sorted(live)
-    prev = pivots[gen]
-    rows = []
-    for i in order:
-        row = []
-        for j in order:
-            p = refresh(i, j, gen)
-            row.append(RatFun(p if p is not None else _P_ZERO, prev))
-        rows.append(tuple(row))
-    sub = SymMatrix(tuple(rows))
-    val = inverse_entry(sub, order.index(k) + 1)
-    return val * RatFun(qk * qk)
+    return sparse_inverse_entry(colored_rows(g), k, k)
 
 
 def reciprocal_transform(g: ColoredGraph, vertex: int | None = None) -> RatFun:

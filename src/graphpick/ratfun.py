@@ -2,7 +2,7 @@
 
 Polynomials carry arbitrary-precision integer coefficients in at most the
 three variables z, w and lam (the level-curve parameter).  Each monomial is
-packed into a single integer key ``ez<<12 | ew<<6 | el`` so that monomial
+packed into a single integer key ``ez<<40 | ew<<20 | el`` so that monomial
 products are plain integer additions and the packed key itself is the
 lexicographic tie-break of the graded-lex term order with z > w > lam.
 
@@ -930,4 +930,7 @@ def parse_ratfun(text: str) -> RatFun:
 def ratfun_from_json(obj: dict) -> RatFun:
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise ValueError("rational-function JSON needs 'num' and 'den' strings")
+    for field in ("num", "den"):
+        if not isinstance(obj[field], str):
+            raise ValueError(f"'{field}' must be a string, got {obj[field]!r}")
     return RatFun(parse_polynomial(obj["num"]), parse_polynomial(obj["den"]))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graphs import ColoredGraph, colored_adjacency
 from .linalg import SymMatrix, determinant
-from .ratfun import Polynomial, RatFun
+from .ratfun import Polynomial
 
 _Z = Polynomial.variable("z")
 _P_ONE = Polynomial.one()
@@ -15,21 +16,7 @@ def stick_matrix(n: int) -> SymMatrix:
     """Tridiagonal z-colored adjacency matrix of the path on n vertices."""
     if n < 1:
         raise ValueError("stick needs at least one vertex")
-    minus_z = RatFun(-_Z)
-    one = RatFun(1)
-    zero = RatFun(0)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(minus_z)
-            elif abs(i - j) == 1:
-                row.append(one)
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return SymMatrix(tuple(rows))
+    return colored_adjacency(ColoredGraph.build(["z"] * n, [(v, v + 1) for v in range(1, n)]))
 
 
 def stick_determinant_direct(n: int) -> Polynomial:

@@ -40,6 +40,7 @@ from graphpick.sticks import (
     stick_recurrence,
     stick_series_coefficients,
 )
+from oracles import cofactor_inverse_entry
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -210,6 +211,10 @@ def test_criterion_5_identity_suites():
                 continue
             reduced = schur_reduce(colored_adjacency(g), keep)
             assert inverse_entry(reduced, keep.index(g.root) + 1) == (
+                representing_function(g)
+            )
+            idx = keep.index(g.root) + 1
+            assert cofactor_inverse_entry(reduced.rows, idx, idx) == (
                 representing_function(g)
             )
             done += 1

@@ -236,6 +236,15 @@ def test_malformed_inputs_exit_two(capsys, tmp_path, write_graph):
     code, _, err = run(capsys, "repfun", loop)
     assert code == 2 and "self-loop" in err
 
+    for field, color in (("num", {"num": 5, "den": "1"}), ("den", {"num": "z", "den": 1})):
+        bad_color = write_graph(
+            {"vertices": [{"id": 1, "color": color}], "edges": [], "root": 1},
+            f"bad-{field}.json",
+        )
+        code, out, err = run(capsys, "repfun", bad_color)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: vertices[0].color: '{field}' must be a string")
+
 
 def test_computation_errors_exit_one(capsys, write_graph):
     singular = write_graph(
@@ -259,6 +268,21 @@ def test_computation_errors_exit_one(capsys, write_graph):
     )
     code, _, err = run(capsys, "contact", multi_w)
     assert code == 1 and "exactly one w" in err
+
+    zero_piece = write_graph(
+        {
+            "vertices": [
+                {"id": 1, "color": "z"},
+                {"id": 2, "color": "z"},
+                {"id": 3, "color": {"num": "0", "den": "1"}},
+            ],
+            "edges": [[1, 2], [2, 3]],
+            "root": 1,
+        },
+        "zero-piece.json",
+    )
+    code, _, err = run(capsys, "retract", zero_piece, "--cut", "2", "--subgraph", "3")
+    assert code == 1 and "cut vertex 2" in err and "representing function is 0" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -231,6 +231,16 @@ def test_retract_precondition_violations():
         retract(SIX_VERTEX, 4, {4, 5, 6})
 
 
+def test_retract_names_a_zero_piece_function():
+    # the piece z - (general 0) has the matrix [[-z, 1], [1, 0]], whose
+    # inverse has a zero (1, 1) entry
+    g = ColoredGraph.build(
+        ["z", "z", general_color(rf(0))], [(1, 2), (2, 3)], 1
+    )
+    with pytest.raises(ValueError, match="cut vertex 2: the piece's representing function is 0"):
+        retract(g, 2, {3})
+
+
 def test_distance():
     assert distance(CONTACT_GRAPH, 1, 1) == 0
     assert distance(CONTACT_GRAPH, 1, 2) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from graphpick.linalg import SymMatrix, determinant, inverse_entry, schur_reduce
 from graphpick.ratfun import Polynomial, RatFun
+from oracles import cofactor_determinant, cofactor_inverse_entry
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -12,28 +13,6 @@ w = Polynomial.variable("w")
 
 def rf(num, den=1):
     return RatFun(num, den)
-
-
-def cofactor_determinant(m: SymMatrix) -> RatFun:
-    """Independent oracle: recursive cofactor expansion along the first row."""
-    n = m.n
-    if n == 0:
-        return RatFun(1)
-    if n == 1:
-        return m.entry(1, 1)
-    total = RatFun(0)
-    for j in range(1, n + 1):
-        e = m.entry(1, j)
-        if e.is_zero:
-            continue
-        rows = tuple(
-            tuple(m.entry(i, c) for c in range(1, n + 1) if c != j)
-            for i in range(2, n + 1)
-        )
-        sub = cofactor_determinant(SymMatrix(rows))
-        term = e * sub
-        total = total + (term if j % 2 == 1 else -term)
-    return total
 
 
 EDGE_ZW = SymMatrix.from_rows([[-z, 1], [1, -w]])
@@ -92,7 +71,7 @@ def test_determinant_with_rational_entries():
     assert determinant(m2) == rf(1, z)
 
 
-def _random_ratfun_matrix(rng, n, rational=False):
+def _random_ratfun_matrix(rng, n, rational=False, zero_diagonal=0):
     def cell():
         p = Polynomial.from_terms(
             {
@@ -110,6 +89,8 @@ def _random_ratfun_matrix(rng, n, rational=False):
             e = cell()
             rows[i][j] = e
             rows[j][i] = e
+    for i in rng.sample(range(n), zero_diagonal):
+        rows[i][i] = RatFun(0)
     return SymMatrix.from_rows(rows)
 
 
@@ -118,7 +99,66 @@ def test_determinant_matches_cofactor_oracle():
     for trial in range(12):
         n = rng.randint(1, 5)
         m = _random_ratfun_matrix(rng, n, rational=(trial % 3 == 0))
-        assert determinant(m) == cofactor_determinant(m)
+        assert determinant(m) == cofactor_determinant(m.rows)
+
+
+def test_symmetric_matrix_required():
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMatrix.from_rows([[-z, 1, 0], [1, -w, rf(1, z)], [0, rf(1, w), 0]])
+
+
+def test_zero_diagonal_values():
+    # the (1, 1) cofactor is the zero block [[0]]
+    assert inverse_entry(SymMatrix.from_rows([[-z, 1], [1, 0]]), 1) == rf(0)
+    # no Schur complement onto {1, 2}: the block left over is [[0]]
+    three = SymMatrix.from_rows([[-z, 1, 1], [1, -w, 1], [1, 1, 0]])
+    assert inverse_entry(three, 1, 2) == rf(1, z + w + 2)
+    # every eliminable diagonal entry is zero: needs a 2x2 block pivot
+    pair = SymMatrix.from_rows([[-z, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert inverse_entry(pair, 1) == rf(-1, z + 2)
+    assert schur_reduce(pair, [1]).rows == ((rf(-z - 2),),)
+    for m in (three, pair):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                assert inverse_entry(m, i, j) == cofactor_inverse_entry(m.rows, i, j)
+
+
+def test_zero_diagonal_random_against_oracle():
+    rng = random.Random(4242)
+    for trial in range(40):
+        n = rng.randint(2, 5)
+        m = _random_ratfun_matrix(
+            rng, n, rational=(trial % 4 == 0), zero_diagonal=rng.randint(1, n)
+        )
+        det = determinant(m)
+        assert det == cofactor_determinant(m.rows)
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        if det.is_zero:
+            with pytest.raises(ValueError, match="singular colored matrix"):
+                inverse_entry(m, i, j)
+        else:
+            assert inverse_entry(m, i, j) == cofactor_inverse_entry(m.rows, i, j)
+        keep = sorted({i, j} | {v for v in range(1, n + 1) if rng.random() < 0.3})
+        rest = [v for v in range(1, n + 1) if v not in keep]
+        if not rest:
+            continue
+
+        def minor(rs, cs):
+            return [[m.entry(r, c) for c in cs] for r in rs]
+
+        block_det = cofactor_determinant(minor(rest, rest))
+        if block_det.is_zero:
+            with pytest.raises(ValueError, match="singular block"):
+                schur_reduce(m, keep)
+            continue
+        reduced = schur_reduce(m, keep)
+        for a, ka in enumerate(keep, 1):
+            for b, kb in enumerate(keep, 1):
+                # Schur complement entry as a ratio of bordered minors
+                bordered = cofactor_determinant(minor(rest + [ka], rest + [kb]))
+                assert reduced.entry(a, b) == bordered / block_det
 
 
 def test_inverse_entry_one_by_one():
@@ -217,6 +257,7 @@ def test_schur_consistency_random():
                 continue
         reduced = schur_reduce(m, keep)
         assert inverse_entry(m, k) == inverse_entry(reduced, keep.index(k) + 1)
+        assert inverse_entry(m, k) == cofactor_inverse_entry(m.rows, k, k)
         done += 1
 
 

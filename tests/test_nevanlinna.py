@@ -27,6 +27,7 @@ from graphpick.nevanlinna import (
     verify_star_identity,
 )
 from graphpick.ratfun import Polynomial, RatFun
+from oracles import cofactor_inverse_entry
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -88,6 +89,7 @@ def test_matches_cofactor_route():
         k = rng.randint(1, g.n)
         direct = inverse_entry(colored_adjacency(g), k)
         assert representing_function(g, k) == direct
+        assert direct == cofactor_inverse_entry(colored_adjacency(g).rows, k, k)
 
 
 def test_general_colors_supported():
@@ -106,6 +108,10 @@ def test_zero_diagonal_falls_back():
     )
     # the matrix [[0, 1], [1, 0]] is its own inverse
     assert representing_function(g) == rf(0)
+    # the inverse of [[-z, 1], [1, 0]] is [[0, 1], [1, z]]
+    path = ColoredGraph.build(["z", general_color(rf(0))], [(1, 2)], 1)
+    assert representing_function(path) == rf(0)
+    assert representing_function(path, 2) == rf(z)
 
 
 def test_singular_matrix_rejected():
@@ -242,6 +248,9 @@ def test_schur_path_independence():
         reduced = schur_reduce(matrix, keep)
         direct = representing_function(g, k)
         assert inverse_entry(reduced, keep.index(k) + 1) == direct
+        assert cofactor_inverse_entry(reduced.rows, keep.index(k) + 1, keep.index(k) + 1) == (
+            cofactor_inverse_entry(matrix.rows, k, k)
+        )
         # a second reduction step down to the root alone
         solo = schur_reduce(reduced, [keep.index(k) + 1])
         assert inverse_entry(solo, 1) == direct
