@@ -60,7 +60,7 @@ from .sticks import (
     stick_recurrence,
     stick_series_coefficients,
 )
-from .numcheck import SampleReport, eval_complex, pick_property_sample, resolvent_oracle
+from .numcheck import SampleReport, eval_complex, pick_property_sample
 
 __version__ = "0.1.0"
 
@@ -114,5 +114,4 @@ __all__ = [
     "SampleReport",
     "eval_complex",
     "pick_property_sample",
-    "resolvent_oracle",
 ]

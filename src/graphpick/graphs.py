@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import SymMatrix, inverse_entry
+from .linalg import SymMatrix, sparse_inverse_entry
 from .ratfun import Polynomial, RatFun, ratfun_from_json
 
 _RF_Z = RatFun(Polynomial.variable("z"))
@@ -246,7 +246,7 @@ def retract(
         if i in k_index and j in k_index
     )
     piece = ColoredGraph(k_colors, k_edges, 1)
-    f_piece = inverse_entry(colored_adjacency(piece), 1)
+    f_piece = sparse_inverse_entry(colored_rows(piece), 1, 1)
     if f_piece.is_zero:
         raise ValueError(
             f"cannot retract at cut vertex {cut}: the piece's representing function is 0"

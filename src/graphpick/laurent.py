@@ -3,18 +3,25 @@
 A Laurent series here is a truncated expansion sum_k c_k z^(-k) whose
 coefficients are rational functions of lam alone (plain rationals for walk
 series).  Negative orders carry the polynomial part.
+
+Every series comes from one fraction-free power-series division,
+``series_quotient``: it runs in polynomial arithmetic only and leaves the
+m-th coefficient as C_m / b0^(m+1), which is reduced once when the series
+is built.  The stick generating function in :mod:`graphpick.sticks` uses
+the same division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Z_COLOR, ColoredGraph, colored_adjacency, distance
-from .linalg import inverse_entry
+from .graphs import Z_COLOR, ColoredGraph, colored_rows, distance
+from .linalg import sparse_inverse_entry
 from .nevanlinna import representing_function
 from .ratfun import Polynomial, RatFun
 
 _P_ZERO = Polynomial.zero()
+_P_ONE = Polynomial.one()
 _RF_ZERO = RatFun(0)
 
 
@@ -86,48 +93,49 @@ def _empty_series(order: int) -> LaurentSeries:
     return LaurentSeries(order + 1, (), order)
 
 
-def _z_profile(p: Polynomial) -> dict[int, RatFun]:
-    """Coefficients of powers of z, as rational functions of lam."""
-    out: dict[int, RatFun] = {}
-    grouped: dict[int, dict[tuple[int, int, int], int]] = {}
-    for (ez, ew, el), c in p.terms():
-        if ew:
-            raise ValueError("expected a function of z and lam only")
-        grouped.setdefault(ez, {})[(0, 0, el)] = c
-    for ez, terms in grouped.items():
-        out[ez] = RatFun(Polynomial.from_terms(terms))
+def series_quotient(a: list[Polynomial], b: list[Polynomial], count: int) -> list[Polynomial]:
+    """Fraction-free numerators of the power-series quotient a(u)/b(u).
+
+    Returns C_0..C_(count-1) with a/b = sum_m C_m u^m / b0^(m+1), from
+    C_m = a_m*b0^m - sum_(i=1..m) b_i*C_(m-i)*b0^(i-1): polynomial products
+    only, no division.  ``b[0]`` must be nonzero; missing a_m, b_i are 0.
+    """
+    b0 = b[0]
+    powers = [_P_ONE]
+    out: list[Polynomial] = []
+    for m in range(count):
+        acc = a[m] * powers[m] if m < len(a) else _P_ZERO
+        for i in range(1, min(m, len(b) - 1) + 1):
+            if b[i]:
+                acc = acc - b[i] * out[m - i] * powers[i - 1]
+        out.append(acc)
+        powers.append(powers[m] * b0)
     return out
 
 
 def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     """Expand a rational function of (z, lam) in powers of 1/z.
 
-    Exact over the rationals in lam; the substitution z = 1/u turns the
-    quotient into a power-series division at u = 0.
+    The substitution z = 1/u turns the quotient into a power-series
+    division at u = 0 of the z-coefficients, which are polynomials in lam.
     """
     if r.degree("w") > 0:
         raise ValueError("expected a function of z and lam only")
     if r.is_zero:
         return _empty_series(order)
-    num_prof = _z_profile(r.num)
-    den_prof = _z_profile(r.den)
-    dp = max(num_prof)
-    dq = max(den_prof)
+    num_prof, den_prof = r.num.coefficients("z"), r.den.coefficients("z")
+    dp, dq = max(num_prof), max(den_prof)
     start = dq - dp
     if start > order:
         return _empty_series(order)
     count = order - start + 1
-    a = [num_prof.get(dp - m, _RF_ZERO) for m in range(count)]
-    b = [den_prof.get(dq - m, _RF_ZERO) for m in range(min(count, dq + 1))]
-    inv_b0 = b[0].reciprocal()
+    a = [num_prof.get(dp - m, _P_ZERO) for m in range(min(count, dp + 1))]
+    b = [den_prof.get(dq - m, _P_ZERO) for m in range(min(count, dq + 1))]
     coeffs: list[RatFun] = []
-    for m in range(count):
-        acc = a[m]
-        for i in range(1, min(m, len(b) - 1) + 1):
-            if b[i].is_zero:
-                continue
-            acc = acc - b[i] * coeffs[m - i]
-        coeffs.append(acc * inv_b0)
+    den = _P_ONE
+    for c in series_quotient(a, b, count):
+        den = den * b[0]
+        coeffs.append(RatFun(c, den))
     return LaurentSeries(start, tuple(coeffs), order)
 
 
@@ -143,8 +151,8 @@ def walk_generating_series(
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("vertex out of range")
     # A - zI is the colored adjacency matrix of the all-z recoloring
-    m = colored_adjacency(ColoredGraph((Z_COLOR,) * n, g.edges))
-    return expand_at_infinity(inverse_entry(m, i, j), order)
+    rows = colored_rows(ColoredGraph((Z_COLOR,) * n, g.edges))
+    return expand_at_infinity(sparse_inverse_entry(rows, i, j), order)
 
 
 def first_nonzero_order(s: LaurentSeries) -> int:
@@ -165,19 +173,9 @@ def level_curve(f: RatFun) -> RatFun:
         raise ValueError("input already depends on lam")
     if f.num.degree("w") > 1 or f.den.degree("w") > 1:
         raise ValueError("multiple w-vertices unsupported")
-
-    def split_w(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-        p0: dict[tuple[int, int, int], int] = {}
-        p1: dict[tuple[int, int, int], int] = {}
-        for (ez, ew, el), c in p.terms():
-            if ew == 0:
-                p0[(ez, 0, el)] = c
-            else:
-                p1[(ez, 0, el)] = c
-        return Polynomial.from_terms(p0), Polynomial.from_terms(p1)
-
-    alpha, beta = split_w(f.num)
-    gamma, delta = split_w(f.den)
+    top, bottom = f.num.coefficients("w"), f.den.coefficients("w")
+    alpha, beta = top.get(0, _P_ZERO), top.get(1, _P_ZERO)
+    gamma, delta = bottom.get(0, _P_ZERO), bottom.get(1, _P_ZERO)
     lam_p = Polynomial.variable("lam")
     den = beta - lam_p * delta
     if den.is_zero:
@@ -197,7 +195,8 @@ def contact_order(f: RatFun) -> int:
     bound = 2 * f.den.degree("z") + 4
     series = expand_at_infinity(curve, bound)
     for idx, c in enumerate(series.coefficients):
-        if not c.derivative("lam").is_zero:
+        # a reduced quotient depends on lam exactly when lam appears in it
+        if c.degree("lam") > 0:
             return series.start_order + idx
     raise ValueError("contact order exceeds bound")
 

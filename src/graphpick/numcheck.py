@@ -1,16 +1,14 @@
 """Floating-point cross-checks for the exact machinery.
 
-Double-precision evaluation of rational functions, seeded sampling of the
-upper-halfplane positivity and real-boundary reality of representing
-functions, and an LU resolvent oracle.
+Double-precision evaluation of rational functions and seeded sampling of
+the upper-halfplane positivity and real-boundary reality of representing
+functions.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import ColoredGraph
 from .nevanlinna import representing_function
@@ -96,24 +94,3 @@ def pick_property_sample(
 
     passed = worst_imag >= -IMAG_TOL and worst_residual <= IMAG_TOL
     return SampleReport(count, worst_imag, worst_residual, seed, passed)
-
-
-def resolvent_oracle(g: ColoredGraph, k: int, z: complex, w: complex) -> complex:
-    """Numeric (k, k) resolvent entry by LU solve with partial pivoting."""
-    n = g.n
-    if not (1 <= k <= n):
-        raise ValueError(f"vertex {k} out of range 1..{n}")
-    matrix = np.zeros((n, n), dtype=complex)
-    for v in range(1, n + 1):
-        d = g.color(v).diagonal()
-        matrix[v - 1, v - 1] = eval_complex(d, z, w)
-    for i, j in g.edges:
-        matrix[i - 1, j - 1] = 1.0
-        matrix[j - 1, i - 1] = 1.0
-    rhs = np.zeros(n, dtype=complex)
-    rhs[k - 1] = 1.0
-    try:
-        x = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"numerically singular colored matrix: {exc}") from exc
-    return complex(x[k - 1])

@@ -303,6 +303,15 @@ class Polynomial:
                     del out[key]
         return Polynomial(out)
 
+    def coefficients(self, var: str) -> dict[int, Polynomial]:
+        """Split by powers of one variable: exponent -> coefficient polynomial."""
+        shift = _SHIFTS[_VAR_INDEX[var]]
+        buckets: dict[int, dict[int, int]] = {}
+        for key, c in self._terms.items():
+            e = (key >> shift) & _MASK
+            buckets.setdefault(e, {})[key - (e << shift)] = c
+        return {e: Polynomial(d) for e, d in buckets.items()}
+
     # ------------------------------------------------------------------
     # evaluation
 
@@ -352,53 +361,32 @@ class Polynomial:
     # ------------------------------------------------------------------
     # rendering
 
-    def __str__(self):
+    def _render(self, names: tuple[str, ...], power: str, joiner: str) -> str:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for (ez, ew, el), c in self.terms():
-            factors = []
-            for name, e in (("z", ez), ("w", ew), ("lam", el)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+        for exps, c in self.terms():
+            factors = [
+                name if e == 1 else power.format(name, e) for name, e in zip(names, exps) if e
+            ]
             mag = abs(c)
             if not factors:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = joiner.join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = joiner.join([str(mag)] + factors)
             if not pieces:
                 pieces.append(f"-{body}" if c < 0 else body)
             else:
                 pieces.append(f" - {body}" if c < 0 else f" + {body}")
         return "".join(pieces)
 
+    def __str__(self):
+        return self._render(VARIABLES, "{}^{}", "*")
+
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for (ez, ew, el), c in self.terms():
-            factors = []
-            for name, e in zip(_LATEX_NAMES, (ez, ew, el)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{{{e}}}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = " ".join(factors)
-            else:
-                body = " ".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(pieces)
+        return self._render(_LATEX_NAMES, "{}^{{{}}}", " ")
 
     def __repr__(self):
         return f"Polynomial({str(self)!r})"
@@ -428,16 +416,6 @@ def _normalize_content_sign(p: Polynomial) -> Polynomial:
 # ----------------------------------------------------------------------
 # multivariate gcd: contents stripped recursively, then a subresultant
 # polynomial remainder sequence in the highest variable present.
-
-
-def _split_by_var(p: Polynomial, vi: int) -> dict[int, Polynomial]:
-    shift = _SHIFTS[vi]
-    buckets: dict[int, dict[int, int]] = {}
-    for key, c in p._terms.items():
-        e = (key >> shift) & _MASK
-        rest = key & ~(_MASK << shift)
-        buckets.setdefault(e, {})[rest] = c
-    return {e: Polynomial(d) for e, d in buckets.items()}
 
 
 def _join_var(u: dict[int, Polynomial], vi: int) -> Polynomial:
@@ -522,8 +500,8 @@ def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(b._terms) == 1:
         return _monomial_gcd(b, a)
 
-    ua = _split_by_var(a, vi)
-    ub = _split_by_var(b, vi)
+    ua = a.coefficients(VARIABLES[vi])
+    ub = b.coefficients(VARIABLES[vi])
     ca = reduce(_gcd_rec, ua.values())
     cb = reduce(_gcd_rec, ub.values())
     if not ca.is_constant or ca._terms.get(0) != 1:
@@ -743,12 +721,9 @@ class RatFun:
             upow.append(upow[-1] * u)
             vpow.append(vpow[-1] * v)
 
-        vi = _VAR_INDEX[var]
-
         def homog(p: Polynomial) -> Polynomial:
-            parts = _split_by_var(p, vi)
             out = _P_ZERO
-            for e, coeff in parts.items():
+            for e, coeff in p.coefficients(var).items():
                 out = out + coeff * upow[e] * vpow[d - e]
             return out
 
@@ -878,7 +853,9 @@ class _PolyParser:
                 if not etok.isdigit():
                     raise ValueError("exponent must be a nonnegative integer")
                 exp = int(etok)
-            return Polynomial.variable(tok) ** exp
+            exps = [0, 0, 0]
+            exps[_VAR_INDEX[tok]] = exp
+            return Polynomial({_pack(*exps): 1})
         raise ValueError(f"unexpected token {tok!r} in polynomial")
 
 

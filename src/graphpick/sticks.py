@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph, colored_adjacency
+from .laurent import series_quotient
 from .linalg import SymMatrix, determinant
 from .ratfun import Polynomial
 
@@ -39,23 +40,11 @@ def stick_recurrence(max_n: int) -> list[Polynomial]:
     return out
 
 
-def _series_reciprocal(b: list[Polynomial], order: int) -> list[Polynomial]:
-    """Power-series reciprocal with polynomial coefficients, exact division."""
-    c0 = _P_ONE.exact_div(b[0])
-    out = [c0]
-    for m in range(1, order + 1):
-        acc = Polynomial.zero()
-        for i in range(1, min(m, len(b) - 1) + 1):
-            acc = acc + b[i] * out[m - i]
-        out.append((-acc).exact_div(b[0]))
-    return out
-
-
 def stick_series_coefficients(max_n: int) -> list[Polynomial]:
     """Coefficients of the series expansion of 1/(1 + z*x + x^2) in x."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return _series_reciprocal([_P_ONE, _Z, _P_ONE], max_n)
+    return series_quotient([_P_ONE], [_P_ONE, _Z, _P_ONE], max_n + 1)
 
 
 @dataclass(frozen=True)

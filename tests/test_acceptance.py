@@ -33,14 +33,14 @@ from graphpick.nevanlinna import (
     verify_retract_identity,
     verify_star_identity,
 )
-from graphpick.numcheck import eval_complex, pick_property_sample, resolvent_oracle
+from graphpick.numcheck import eval_complex, pick_property_sample
 from graphpick.ratfun import Polynomial, RatFun
 from graphpick.sticks import (
     stick_determinant_direct,
     stick_recurrence,
     stick_series_coefficients,
 )
-from oracles import cofactor_inverse_entry
+from oracles import cofactor_inverse_entry, resolvent_oracle
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")

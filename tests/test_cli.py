@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import graphpick
 from graphpick.cli import main
 from graphpick.graphs import graph_from_json
 from graphpick.ratfun import parse_ratfun, ratfun_from_json
@@ -245,6 +250,14 @@ def test_malformed_inputs_exit_two(capsys, tmp_path, write_graph):
         assert code == 2 and out == ""
         assert err.startswith(f"error: vertices[0].color: '{field}' must be a string")
 
+    huge_color = {"num": "z^1048576", "den": "1"}
+    huge = write_graph(
+        {"vertices": [{"id": 1, "color": huge_color}], "edges": [], "root": 1}, "huge.json"
+    )
+    code, out, err = run(capsys, "repfun", huge)
+    assert code == 2 and out == ""
+    assert err.startswith("error: vertices[0].color: ") and "exponent out of range" in err
+
 
 def test_computation_errors_exit_one(capsys, write_graph):
     singular = write_graph(
@@ -283,6 +296,16 @@ def test_computation_errors_exit_one(capsys, write_graph):
     )
     code, _, err = run(capsys, "retract", zero_piece, "--cut", "2", "--subgraph", "3")
     assert code == 1 and "cut vertex 2" in err and "representing function is 0" in err
+
+
+def test_import_does_not_load_numpy():
+    # numpy is only a test dependency; the package and its CLI must not pull it in
+    src = str(pathlib.Path(graphpick.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, graphpick, graphpick.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -93,6 +93,40 @@ def test_expand_residual_is_high_order():
         assert abs(direct - summed) <= 1e3 * big ** -(n + 1)
 
 
+def test_expand_times_denominator_returns_numerator():
+    # Denominators whose leading z-coefficient is a non-monomial polynomial in
+    # lam, which graph inputs never produce.  Multiplying the truncated series
+    # back by the denominator must give the numerator exactly at every power
+    # of z the truncation still determines, z^(deg den - order) and up.
+    rng = random.Random(3)
+
+    def rand_poly(dz, dl):
+        return Polynomial.from_terms(
+            {(ez, 0, el): rng.randint(-4, 4) for ez in range(dz + 1) for el in range(dl + 1)}
+        )
+
+    def z_profile(p):
+        out = {}
+        for (ez, _, el), c in p.terms():
+            out[ez] = out.get(ez, rf(0)) + rf(c * lam**el)
+        return out
+
+    for _ in range(40):
+        lead = rng.randint(1, 3) + lam + rng.randint(0, 2) * lam * lam
+        dq = rng.randint(1, 3)
+        r = rf(rand_poly(rng.randint(0, 4), 2), lead * z**dq + rand_poly(dq - 1, 2))
+        a, b = z_profile(r.num), z_profile(r.den)
+        dq = max(b)
+        assert len(b[dq].num.terms()) > 1, "the reduced leading coefficient must stay non-monomial"
+        order = rng.randint(0, 8)
+        s = expand_at_infinity(r, order)
+        for e in range(dq - order, max(a) + 1):
+            product = rf(0)
+            for j, bj in b.items():
+                product = product + bj * s.coefficient(j - e)
+            assert product == a.get(e, rf(0))
+
+
 def test_series_rendering():
     s = expand_at_infinity(rf(1, z * z - 1), 6)
     assert str(s) == "1*z^-2 + 1*z^-4 + 1*z^-6 + O(z^-7)"

@@ -6,12 +6,10 @@ from graphpick.gen import random_colored_graph, random_single_w_graph
 from graphpick.graphs import ColoredGraph, general_color
 from graphpick.nevanlinna import representing_function, verify_star_identity
 from graphpick.gen import random_star_pair
-from graphpick.numcheck import (
-    eval_complex,
-    pick_property_sample,
-    resolvent_oracle,
-)
+from graphpick.numcheck import eval_complex, pick_property_sample
 from graphpick.ratfun import Polynomial, RatFun
+
+from oracles import resolvent_oracle
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")

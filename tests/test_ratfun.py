@@ -328,6 +328,13 @@ def test_parse_accepts_lambda_spellings():
     assert parse_polynomial("λ^2") == lam * lam
 
 
+def test_parse_power_is_one_monomial():
+    assert parse_polynomial("z^200000") == Polynomial.from_terms({(200000, 0, 0): 1})
+    assert parse_polynomial("3*w^0*lam^2") == 3 * lam * lam
+    with pytest.raises(ValueError, match="exponent out of range"):
+        parse_polynomial("w^1048576")
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_polynomial("z ++")
