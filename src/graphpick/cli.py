@@ -35,7 +35,23 @@ from .nevanlinna import (
 from .numcheck import pick_property_sample
 from .sticks import stick_determinants
 
-_VERIFY_SUITES = ("relabel", "component", "schur")
+_VERIFY_TRIALS = 5
+
+
+def _schur_trial(g: ColoredGraph, rng: random.Random):
+    keep = sorted({g.root} | {v for v in range(1, g.n + 1) if rng.random() < 0.5})
+    return inverse_entry(schur_reduce(colored_adjacency(g), keep), keep.index(g.root) + 1)
+
+
+# Each suite recomputes the root representing function by another route from
+# one random draw; ``verify`` compares every trial with the direct result.
+_VERIFY_SUITES = {
+    "relabel": lambda g, rng: representing_function(relabel(g, random_permutation(rng, g.n))),
+    "component": lambda g, rng: representing_function(
+        disjoint_union(g, random_colored_graph(rng, 4))
+    ),
+    "schur": _schur_trial,
+}
 
 
 def _emit(obj) -> None:
@@ -48,7 +64,7 @@ def _load_graph(path: str) -> ColoredGraph:
             data = json.load(handle)
     except OSError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON syntax, digits or nesting
         raise GraphFormatError(f"{path}: invalid JSON ({exc})") from exc
     return graph_from_json(data)
 
@@ -62,11 +78,28 @@ def _format_ratfun(f, fmt: str) -> None:
         print(f"({f.num})/({f.den})")
 
 
+def _vertex_arg(flag: str, v: int, g: ColoredGraph) -> int:
+    if not (1 <= v <= g.n):
+        raise GraphFormatError(f"{flag}: {v} out of range 1..{g.n}")
+    return v
+
+
+def _parse_subgraph(spec: str, g: ColoredGraph) -> frozenset[int]:
+    spec = spec.strip()
+    if not spec:
+        return frozenset()
+    try:
+        ids = frozenset(int(part) for part in spec.split(","))
+    except ValueError as exc:
+        raise GraphFormatError(f"--subgraph: expected comma-separated ids ({exc})")
+    for v in sorted(ids):
+        _vertex_arg("--subgraph", v, g)
+    return ids
+
+
 def _cmd_repfun(args) -> int:
     g = _load_graph(args.graph)
-    vertex = args.vertex
-    if vertex is not None and not (1 <= vertex <= g.n):
-        raise GraphFormatError(f"--vertex: {vertex} out of range 1..{g.n}")
+    vertex = args.vertex if args.vertex is None else _vertex_arg("--vertex", args.vertex, g)
     f = representing_function(g, vertex)
     _format_ratfun(f, args.format)
     return 0
@@ -78,50 +111,33 @@ def _cmd_reciprocal(args) -> int:
     return 0
 
 
+def _emit_product(product: ColoredGraph, verify: bool, check) -> int:
+    """Print the product graph; with ``verify``, also the identity ``check()`` reports."""
+    if not verify:
+        _emit(graph_to_json(product))
+        return 0
+    report = check()
+    _emit({"graph": graph_to_json(product), "identity": report.to_json()})
+    return 0 if report.equal else 1
+
+
 def _cmd_star(args) -> int:
-    g = _load_graph(args.graph)
-    h = _load_graph(args.other)
-    product = star_product(g, h)
-    if args.verify:
-        report = verify_star_identity(g, h)
-        _emit({"graph": graph_to_json(product), "identity": report.to_json()})
-        return 0 if report.equal else 1
-    _emit(graph_to_json(product))
-    return 0
+    g, h = _load_graph(args.graph), _load_graph(args.other)
+    return _emit_product(star_product(g, h), args.verify, lambda: verify_star_identity(g, h))
 
 
 def _cmd_zcomb(args) -> int:
-    g = _load_graph(args.graph)
-    h = _load_graph(args.other)
-    product = comb_product_z(g, h)
-    if args.verify:
-        report = verify_comb_identity(g, h)
-        _emit({"graph": graph_to_json(product), "identity": report.to_json()})
-        return 0 if report.equal else 1
-    _emit(graph_to_json(product))
-    return 0
-
-
-def _parse_subgraph(spec: str) -> frozenset[int]:
-    spec = spec.strip()
-    if not spec:
-        return frozenset()
-    try:
-        return frozenset(int(part) for part in spec.split(","))
-    except ValueError as exc:
-        raise GraphFormatError(f"--subgraph: expected comma-separated ids ({exc})")
+    g, h = _load_graph(args.graph), _load_graph(args.other)
+    return _emit_product(comb_product_z(g, h), args.verify, lambda: verify_comb_identity(g, h))
 
 
 def _cmd_retract(args) -> int:
     g = _load_graph(args.graph)
-    ksub = _parse_subgraph(args.subgraph)
-    reduced = retract(g, args.cut, ksub)
-    if args.verify:
-        report = verify_retract_identity(g, args.cut, ksub)
-        _emit({"graph": graph_to_json(reduced), "identity": report.to_json()})
-        return 0 if report.equal else 1
-    _emit(graph_to_json(reduced))
-    return 0
+    ksub = _parse_subgraph(args.subgraph, g)
+    cut = _vertex_arg("--cut", args.cut, g)
+    return _emit_product(
+        retract(g, cut, ksub), args.verify, lambda: verify_retract_identity(g, cut, ksub)
+    )
 
 
 def _cmd_contact(args) -> int:
@@ -133,9 +149,8 @@ def _cmd_contact(args) -> int:
 
 def _cmd_walkgen(args) -> int:
     g = _load_graph(args.graph)
-    for name, v in (("--from", args.src), ("--to", args.dst)):
-        if not (1 <= v <= g.n):
-            raise GraphFormatError(f"{name}: {v} out of range 1..{g.n}")
+    _vertex_arg("--from", args.src, g)
+    _vertex_arg("--to", args.dst, g)
     if args.order < 0:
         raise GraphFormatError("--order: must be nonnegative")
     series = walk_generating_series(g, args.src, args.dst, args.order)
@@ -155,50 +170,15 @@ def _cmd_sticks(args) -> int:
     return 0
 
 
-def _verify_relabel(g: ColoredGraph, rng: random.Random, trials: int) -> bool:
-    f = representing_function(g)
-    for _ in range(trials):
-        perm = random_permutation(rng, g.n)
-        if representing_function(relabel(g, perm)) != f:
-            return False
-    return True
-
-
-def _verify_component(g: ColoredGraph, rng: random.Random, trials: int) -> bool:
-    f = representing_function(g)
-    for _ in range(trials):
-        extra = random_colored_graph(rng, 4)
-        if representing_function(disjoint_union(g, extra)) != f:
-            return False
-    return True
-
-
-def _verify_schur(g: ColoredGraph, rng: random.Random, trials: int) -> bool:
-    matrix = colored_adjacency(g)
-    f = inverse_entry(matrix, g.root)
-    for _ in range(trials):
-        keep = sorted(
-            {g.root}
-            | {v for v in range(1, g.n + 1) if rng.random() < 0.5}
-        )
-        reduced = schur_reduce(matrix, keep)
-        if inverse_entry(reduced, keep.index(g.root) + 1) != f:
-            return False
-    return True
-
-
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     rng = random.Random(args.seed)
-    suites = _VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    runners = {
-        "relabel": _verify_relabel,
-        "component": _verify_component,
-        "schur": _verify_schur,
+    f = representing_function(g)
+    names = _VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    results = {
+        name: all(_VERIFY_SUITES[name](g, rng) == f for _ in range(_VERIFY_TRIALS))
+        for name in names
     }
-    results = {}
-    for name in suites:
-        results[name] = runners[name](g, rng, trials=5)
     results["pass"] = all(results.values())
     _emit(results)
     return 0 if results["pass"] else 1
@@ -267,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="invariance suites on a graph")
     p.add_argument("graph")
-    p.add_argument("--suite", choices=("all",) + _VERIFY_SUITES, default="all")
+    p.add_argument("--suite", choices=("all", *_VERIFY_SUITES), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)
 

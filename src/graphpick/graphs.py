@@ -103,15 +103,6 @@ class ColoredGraph:
     def color(self, v: int) -> Color:
         return self.colors[v - 1]
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return sorted(out)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -138,6 +129,41 @@ def colored_adjacency(g: ColoredGraph) -> SymMatrix:
     return SymMatrix(tuple(tuple(row.get(j, _RF_ZERO) for j in rows) for row in rows.values()))
 
 
+def _carry_edges(edges: Iterable[tuple[int, int]], index: dict[int, int]) -> frozenset:
+    """The edges with both ends in ``index``, carried along it as ordered pairs."""
+    return frozenset(
+        (min(index[i], index[j]), max(index[i], index[j]))
+        for i, j in edges
+        if i in index and j in index
+    )
+
+
+def _renumber(g: ColoredGraph, order: Sequence[int], root: int) -> ColoredGraph:
+    """Subgraph induced on ``order``, with vertex ``order[i]`` renumbered to ``i + 1``."""
+    index = {v: i for i, v in enumerate(order, 1)}
+    return ColoredGraph(
+        tuple(g.color(v) for v in order), _carry_edges(g.edges, index), index[root]
+    )
+
+
+def _attach(g: ColoredGraph, h: ColoredGraph, sites: Iterable[int]) -> ColoredGraph:
+    """Glue a fresh copy of h at each site, identifying h's root with the site.
+
+    g keeps its numbering and root; the other vertices of each copy follow
+    in ascending order, and the copies come in site order.
+    """
+    rest = [v for v in range(1, h.n + 1) if v != h.root]
+    colors = list(g.colors)
+    edges = set(g.edges)
+    for site in sites:
+        index = {h.root: site}
+        for v in rest:
+            colors.append(h.color(v))
+            index[v] = len(colors)
+        edges |= _carry_edges(h.edges, index)
+    return ColoredGraph(tuple(colors), frozenset(edges), g.root)
+
+
 def relabel(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
     """Transport colors, edges and root along a permutation.
 
@@ -146,11 +172,7 @@ def relabel(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
     n = g.n
     if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
         raise ValueError("relabeling map is not a bijection of 1..n")
-    colors = [None] * n
-    for v in range(1, n + 1):
-        colors[perm[v - 1] - 1] = g.color(v)
-    edges = {(min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in g.edges}
-    return ColoredGraph(tuple(colors), frozenset(edges), perm[g.root - 1])
+    return _renumber(g, sorted(range(1, n + 1), key=lambda v: perm[v - 1]), g.root)
 
 
 def star_product(g: ColoredGraph, h: ColoredGraph) -> ColoredGraph:
@@ -162,21 +184,7 @@ def star_product(g: ColoredGraph, h: ColoredGraph) -> ColoredGraph:
     """
     if g.color(g.root) != h.color(h.root):
         raise ValueError("incompatible roots")
-    mapping = {h.root: g.root}
-    nxt = g.n + 1
-    for v in range(1, h.n + 1):
-        if v == h.root:
-            continue
-        mapping[v] = nxt
-        nxt += 1
-    colors = list(g.colors) + [
-        h.color(v) for v in range(1, h.n + 1) if v != h.root
-    ]
-    edges = set(g.edges)
-    for i, j in h.edges:
-        a, b = mapping[i], mapping[j]
-        edges.add((min(a, b), max(a, b)))
-    return ColoredGraph(tuple(colors), frozenset(edges), g.root)
+    return _attach(g, h, [g.root])
 
 
 def comb_product_z(g: ColoredGraph, h: ColoredGraph) -> ColoredGraph:
@@ -188,22 +196,7 @@ def comb_product_z(g: ColoredGraph, h: ColoredGraph) -> ColoredGraph:
     """
     if h.color(h.root).kind != "z":
         raise ValueError("incompatible comb root")
-    colors = list(g.colors)
-    edges = set(g.edges)
-    nxt = g.n + 1
-    h_rest = [v for v in range(1, h.n + 1) if v != h.root]
-    for attach in range(1, g.n + 1):
-        if g.color(attach).kind != "z":
-            continue
-        mapping = {h.root: attach}
-        for v in h_rest:
-            mapping[v] = nxt
-            colors.append(h.color(v))
-            nxt += 1
-        for i, j in h.edges:
-            a, b = mapping[i], mapping[j]
-            edges.add((min(a, b), max(a, b)))
-    return ColoredGraph(tuple(colors), frozenset(edges), g.root)
+    return _attach(g, h, [v for v in range(1, g.n + 1) if g.color(v).kind == "z"])
 
 
 def retract(
@@ -229,44 +222,22 @@ def retract(
         if not (1 <= v <= n):
             raise ValueError(f"subgraph vertex {v} out of range")
     for i, j in g.edges:
-        if (i in ks) != (j in ks):
-            outside = j if i in ks else i
-            if outside != cut:
-                raise ValueError(
-                    f"edge ({i}, {j}) crosses the retraction cut away from vertex {cut}"
-                )
+        if (i in ks) != (j in ks) and cut not in (i, j):
+            raise ValueError(
+                f"edge ({i}, {j}) crosses the retraction cut away from vertex {cut}"
+            )
 
     # pendant piece rooted at the cut, with the cut's original color
-    k_order = [cut] + sorted(ks)
-    k_index = {v: idx + 1 for idx, v in enumerate(k_order)}
-    k_colors = tuple(g.color(v) for v in k_order)
-    k_edges = frozenset(
-        (min(k_index[i], k_index[j]), max(k_index[i], k_index[j]))
-        for i, j in g.edges
-        if i in k_index and j in k_index
-    )
-    piece = ColoredGraph(k_colors, k_edges, 1)
+    piece = _renumber(g, [cut] + sorted(ks), cut)
     f_piece = sparse_inverse_entry(colored_rows(piece), 1, 1)
     if f_piece.is_zero:
         raise ValueError(
             f"cannot retract at cut vertex {cut}: the piece's representing function is 0"
         )
-    g_piece = f_piece.reciprocal()
-
-    keep = [v for v in range(1, n + 1) if v not in ks]
-    new_index = {v: idx + 1 for idx, v in enumerate(keep)}
-    colors = []
-    for v in keep:
-        if v == cut:
-            colors.append(general_color(-g_piece))
-        else:
-            colors.append(g.color(v))
-    edges = frozenset(
-        (min(new_index[i], new_index[j]), max(new_index[i], new_index[j]))
-        for i, j in g.edges
-        if i in new_index and j in new_index
-    )
-    return ColoredGraph(tuple(colors), edges, new_index[g.root])
+    colors = list(g.colors)
+    colors[cut - 1] = general_color(-f_piece.reciprocal())
+    recolored = ColoredGraph(tuple(colors), g.edges, g.root)
+    return _renumber(recolored, [v for v in range(1, n + 1) if v not in ks], g.root)
 
 
 def distance(g: ColoredGraph, i: int, j: int) -> int | float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from typing import Iterator
 
 from .graphs import ColoredGraph
 from .nevanlinna import representing_function
@@ -24,6 +26,22 @@ def eval_complex(r: RatFun, z: complex, w: complex, lam: complex = 0j) -> comple
     if abs(den) <= POLE_GUARD:
         raise ValueError("pole proximity")
     return r.num.evaluate(z, w, lam) / den
+
+
+def _sample(f: RatFun, count: int, point, what: str) -> Iterator[complex]:
+    """Yield f at ``count`` points drawn by ``point()``, redrawing those near a pole."""
+    drawn = 0
+    attempts = 0
+    while drawn < count:
+        if attempts > count + _MAX_REDRAWS:
+            raise ValueError(f"pole proximity: could not place {what}")
+        attempts += 1
+        try:
+            value = eval_complex(f, *point())
+        except ValueError:
+            continue
+        drawn += 1
+        yield value
 
 
 @dataclass(frozen=True)
@@ -60,37 +78,15 @@ def pick_property_sample(
     f = representing_function(g)
     rng = random.Random(seed)
 
-    worst_imag = float("inf")
-    drawn = 0
-    attempts = 0
-    while drawn < count:
-        if attempts > count + _MAX_REDRAWS:
-            raise ValueError("pole proximity: could not place samples")
-        attempts += 1
-        zz = complex(rng.uniform(-5, 5), 5.0 * (1.0 - rng.random()))
-        ww = complex(rng.uniform(-5, 5), 5.0 * (1.0 - rng.random()))
-        try:
-            value = eval_complex(f, zz, ww)
-        except ValueError:
-            continue
-        worst_imag = min(worst_imag, value.imag)
-        drawn += 1
+    def upper() -> complex:
+        return complex(rng.uniform(-5, 5), 5.0 * (1.0 - rng.random()))
 
-    worst_residual = 0.0
-    drawn = 0
-    attempts = 0
-    while drawn < count:
-        if attempts > count + _MAX_REDRAWS:
-            raise ValueError("pole proximity: could not place real samples")
-        attempts += 1
-        x = rng.uniform(-5, 5)
-        y = rng.uniform(-5, 5)
-        try:
-            value = eval_complex(f, complex(x, 0.0), complex(y, 0.0))
-        except ValueError:
-            continue
-        worst_residual = max(worst_residual, abs(value.imag))
-        drawn += 1
+    def real() -> complex:
+        return complex(rng.uniform(-5, 5), 0.0)
 
+    upper_values = _sample(f, count, lambda: (upper(), upper()), "samples")
+    worst_imag = reduce(min, (v.imag for v in upper_values), float("inf"))
+    real_values = _sample(f, count, lambda: (real(), real()), "real samples")
+    worst_residual = reduce(max, (abs(v.imag) for v in real_values), 0.0)
     passed = worst_imag >= -IMAG_TOL and worst_residual <= IMAG_TOL
     return SampleReport(count, worst_imag, worst_residual, seed, passed)

@@ -258,6 +258,23 @@ def test_malformed_inputs_exit_two(capsys, tmp_path, write_graph):
     assert code == 2 and out == ""
     assert err.startswith("error: vertices[0].color: ") and "exponent out of range" in err
 
+    # reading and decoding failures of the file itself
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"vertices": [{"id": 1, "color": "\xff"}], "edges": [], "root": 1}')
+    long_id = tmp_path / "long-id.json"
+    long_id.write_text('{"vertices": [{"id": ' + "1" * 5000 + ', "color": "z"}], "edges": [], "root": 1}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path, reason in (
+        (not_utf8, "codec can't decode"),
+        (long_id, "Exceeds the limit (4300 digits)"),
+        (deep, "maximum recursion depth"),
+    ):
+        code, out, err = run(capsys, "repfun", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: invalid JSON (") and reason in err
+        assert err.count("\n") == 1
+
 
 def test_computation_errors_exit_one(capsys, write_graph):
     singular = write_graph(
@@ -296,6 +313,32 @@ def test_computation_errors_exit_one(capsys, write_graph):
     )
     code, _, err = run(capsys, "retract", zero_piece, "--cut", "2", "--subgraph", "3")
     assert code == 1 and "cut vertex 2" in err and "representing function is 0" in err
+
+
+def test_retract_vertex_ids_out_of_range_exit_two(capsys, write_graph):
+    single = write_graph(SINGLE_Z, "single.json")
+    for cut in ("5", "0", "-1"):
+        code, out, err = run(capsys, "retract", single, "--cut", cut)
+        assert code == 2 and out == ""
+        assert err == f"error: --cut: {cut} out of range 1..1\n"
+    six = write_graph(SIX_VERTEX, "six.json")
+    for spec, bad in (("5,7", "7"), ("0", "0"), ("-2,5", "-2")):
+        code, out, err = run(capsys, "retract", six, "--cut", "4", f"--subgraph={spec}")
+        assert code == 2 and out == ""
+        assert err == f"error: --subgraph: {bad} out of range 1..6\n"
+    code, _, err = run(capsys, "retract", six, "--cut", "4", "--subgraph", "5,x")
+    assert code == 2 and err.startswith("error: --subgraph: expected comma-separated ids")
+
+
+def test_retract_structural_failures_exit_one(capsys, write_graph):
+    six = write_graph(SIX_VERTEX)
+    for cut, spec, reason in (
+        ("5", "6", "crosses the retraction cut"),
+        ("4", "1,2,3,5,6", "root must not be part of the deleted subgraph"),
+        ("4", "4,5,6", "cut vertex must not be part of the deleted subgraph"),
+    ):
+        code, out, err = run(capsys, "retract", six, "--cut", cut, "--subgraph", spec)
+        assert code == 1 and out == "" and reason in err
 
 
 def test_import_does_not_load_numpy():

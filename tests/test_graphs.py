@@ -128,6 +128,22 @@ def test_relabel_conjugates_adjacency():
                 assert a.entry(i, j) == b.entry(perm[i - 1], perm[j - 1])
 
 
+def test_relabel_then_inverse_is_identity():
+    rng = random.Random(8)
+    for _ in range(40):
+        g = random_colored_graph(rng, 7)
+        if rng.random() < 0.5:
+            colors = list(g.colors)
+            colors[rng.randrange(g.n)] = general_color(rf(z + rng.randint(-2, 2), 3))
+            g = ColoredGraph(tuple(colors), g.edges, g.root)
+        perm = random_permutation(rng, g.n)
+        inverse = [0] * g.n
+        for v, new in enumerate(perm, 1):
+            inverse[new - 1] = v
+        # dataclass equality compares colors, edges and root
+        assert relabel(relabel(g, perm), inverse) == g
+
+
 def test_star_product_matches_block_structure():
     product = star_product(SQUARE_ZWWW, TRIANGLE_ZZW)
     assert product.n == 6
@@ -190,6 +206,22 @@ def test_comb_vertex_count_formula():
         h = ColoredGraph(tuple(colors), h.edges, h.root)
         z_count = sum(1 for c in g.colors if c.kind == "z")
         assert comb_product_z(g, h).n == g.n + z_count * (h.n - 1)
+
+
+def test_comb_is_star_when_the_root_is_the_only_z_vertex():
+    rng = random.Random(21)
+    for _ in range(40):
+        base = random_colored_graph(rng, 6)
+        g = ColoredGraph(
+            tuple(Z_COLOR if v == base.root else W_COLOR for v in range(1, base.n + 1)),
+            base.edges,
+            base.root,
+        )
+        h = random_colored_graph(rng, 5)
+        colors = list(h.colors)
+        colors[h.root - 1] = Z_COLOR
+        h = ColoredGraph(tuple(colors), h.edges, h.root)
+        assert comb_product_z(g, h) == star_product(g, h)
 
 
 def test_comb_without_z_vertices_is_identity():

@@ -6,6 +6,7 @@ from graphpick.gen import random_colored_graph, random_single_w_graph
 from graphpick.graphs import ColoredGraph, general_color
 from graphpick.nevanlinna import representing_function, verify_star_identity
 from graphpick.gen import random_star_pair
+from graphpick import numcheck
 from graphpick.numcheck import eval_complex, pick_property_sample
 from graphpick.ratfun import Polynomial, RatFun
 
@@ -34,6 +35,28 @@ def test_eval_complex_simple():
 def test_eval_complex_pole_guard():
     with pytest.raises(ValueError, match="pole proximity"):
         eval_complex(rf(1, z), 1e-15, 0)
+
+
+@pytest.mark.parametrize("real_only, what", [(False, "samples"), (True, "real samples")])
+def test_pick_sample_gives_up_after_the_redraw_budget(monkeypatch, real_only, what):
+    # every point of one side lands on a pole: after count + _MAX_REDRAWS + 1
+    # draws on that side the sampler stops with that side's message
+    calls = []
+    honest = numcheck.eval_complex
+
+    def near_pole(r, zz, ww, lam=0j):
+        calls.append(zz.imag == 0 and ww.imag == 0)
+        if not real_only or calls[-1]:
+            raise ValueError("pole proximity")
+        return honest(r, zz, ww, lam)
+
+    monkeypatch.setattr(numcheck, "eval_complex", near_pole)
+    count = 7
+    with pytest.raises(ValueError, match=f"^pole proximity: could not place {what}$"):
+        pick_property_sample(ColoredGraph.build(["z"]), count=count, seed=1)
+    budget = count + numcheck._MAX_REDRAWS + 1
+    assert calls.count(True) == (budget if real_only else 0)
+    assert calls.count(False) == (count if real_only else budget)
 
 
 def test_pick_sample_reciprocal_of_z():
