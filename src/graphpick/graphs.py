@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .linalg import SymMatrix, sparse_inverse_entry
-from .ratfun import Polynomial, RatFun, ratfun_from_json
+from .ratfun import Polynomial, RatFun, clipped_repr, ratfun_from_json
 
 _RF_Z = RatFun(Polynomial.variable("z"))
 _RF_W = RatFun(Polynomial.variable("w"))
@@ -311,7 +311,7 @@ def _color_from_json(value, where: str) -> Color:
         except (ValueError, ZeroDivisionError) as exc:
             raise GraphFormatError(f"{where}: {exc}") from exc
     raise GraphFormatError(
-        f"{where}: expected \"z\", \"w\" or a num/den object, got {value!r}"
+        f"{where}: expected \"z\", \"w\" or a num/den object, got {clipped_repr(value)}"
     )
 
 

@@ -258,6 +258,25 @@ def test_malformed_inputs_exit_two(capsys, tmp_path, write_graph):
     assert code == 2 and out == ""
     assert err.startswith("error: vertices[0].color: ") and "exponent out of range" in err
 
+    # a large offending value is echoed clipped, on one short line
+    for name, color, head in (
+        ("nested", [[[]]], "expected "),
+        ("deep", json.loads("[" * 900 + "]" * 900), "expected "),
+        ("long", "x" * 100_000, "expected "),
+        ("long-num", {"num": ["z"] * 50_000, "den": "1"}, "'num' must be a string"),
+    ):
+        path = write_graph(
+            {"vertices": [{"id": 1, "color": color}], "edges": [], "root": 1}, f"{name}.json"
+        )
+        code, out, err = run(capsys, "repfun", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: vertices[0].color: {head}")
+        assert err.count("\n") == 1 and len(err) < 200
+        if name == "nested":
+            assert err.endswith(", got [[[]]]\n")
+        else:
+            assert err.endswith("...\n")
+
     # reading and decoding failures of the file itself
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"vertices": [{"id": 1, "color": "\xff"}], "edges": [], "root": 1}')

@@ -11,6 +11,11 @@ from graphpick.ratfun import (
     RatFun,
     W,
     Z,
+    _POINT,
+    _PRIME,
+    _coprime,
+    _gcd_full,
+    _gcd_rec,
     parse_polynomial,
     parse_ratfun,
     poly_gcd,
@@ -131,6 +136,121 @@ def test_gcd_is_associate_multiplicative(a, b, g):
     q = poly_gcd(lhs, rhs)
     assert lhs.exact_div(q).is_constant
     assert rhs.exact_div(q).is_constant
+
+
+def _gcd_oracle(a, b):
+    """The subresultant gcd alone, sign-normalized like _gcd_full."""
+    g = _gcd_rec(a, b)
+    return -g if g.leading_coefficient() < 0 else g
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=5),
+    polynomials(nonzero=True, max_terms=5),
+    polynomials(nonzero=True, max_terms=3),
+)
+def test_coprimality_test_agrees_with_full_gcd(a, b, g):
+    lhs, rhs = a * g, b * g
+    got = _gcd_full(lhs, rhs)
+    assert got == _gcd_oracle(lhs, rhs)
+    if g.degree() > 0:
+        assert not _coprime(lhs, rhs)
+        assert not got.is_constant
+
+
+def test_coprimality_test_constructed_cases():
+    z0, w0, _ = _POINT
+    # common factor whose leading coefficients in z and in w both vanish at
+    # the fixed point mod p: its images are the constant 1 in z and in w
+    unlucky = (w - w0) * (z - z0) + 1
+    # coprime operands whose z-images both drop their leading degree
+    dropped = (w - w0 - _PRIME) * z**2 + z + 1
+    cases = [
+        # (a, b, gcd, whether the image test alone decides)
+        ((z + 2) * unlucky, (z * w - 1) * unlucky, unlucky, False),
+        (dropped, (w - w0) * z + 3, one, False),
+        ((z**2 + w) * (w + 1), (z - lam) * (w + 1), w + 1, False),
+        ((z * w + 1) * (lam**2 + 3), (z - w) * (lam**2 + 3), lam**2 + 3, False),
+        (6 * (z * w + lam), 4 * (z - w + 1), Polynomial.integer(2), False),
+        (_PRIME * (z + 1), z + 1, z + 1, False),
+        (_PRIME * (z + w), z + 2, one, False),
+        (z**2 * w, z * (w + 1), z, False),
+        (3 * z * w * lam, z + w + 1, one, True),
+        (z**2 + w, z * w - lam, one, True),
+        (z + w, Polynomial.integer(5), one, True),
+    ]
+    for a, b, gcd, decided in cases:
+        assert _gcd_full(a, b) == _gcd_full(b, a) == _gcd_oracle(a, b) == gcd
+        assert _coprime(a, b) == _coprime(b, a) == decided
+
+
+def test_coprimality_test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("z w lam")
+
+    def to_sympy(p):
+        return sympy.Poly(sympy.sympify(str(p).replace("^", "**")), *gens)
+
+    rng = random.Random(11)
+    for _ in range(30):
+        a, b, g = (
+            Polynomial.from_terms(
+                {
+                    (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)): rng.randint(-4, 4)
+                    for _ in range(3)
+                }
+            )
+            + rng.randint(1, 3)
+            for _ in range(3)
+        )
+        ours = to_sympy(_gcd_full(a * g, b * g))
+        theirs = sympy.gcd(to_sympy(a * g), to_sympy(b * g))
+        assert ours in (theirs, -theirs)
+
+
+# ----------------------------------------------------------------------
+# exact division (runs in packed-key lex order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=5, max_exp=3),
+    polynomials(nonzero=True, max_terms=4, max_exp=2),
+)
+def test_exact_division_recovers_the_cofactor(a, b):
+    b = b * (z - 2 * w + lam + 1)
+    assert (a * b).exact_div(b) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=5, max_exp=3),
+    polynomials(nonzero=True, max_terms=4, max_exp=2),
+    polynomials(max_terms=4, max_exp=2),
+)
+def test_exact_division_rejects_a_remainder(a, b, r):
+    b = b * (z - 2 * w + lam + 1)
+    # keep only the terms of r below b's total degree, so b cannot divide r
+    r = Polynomial.from_terms({e: c for e, c in r.terms() if sum(e) < b.degree()})
+    if r.is_zero:
+        r = one
+    with pytest.raises(ValueError):
+        (a * b + r).exact_div(b)
+
+
+def test_inexact_division_stops_early():
+    for dividend, divisor in (
+        (z**5, z - w),
+        (z**200, z - w),
+        (z**30, z - w - lam),
+        (w**5, w - lam),
+        (z**4 * w, z * w - lam),
+        (lam**3, z + lam),
+        ((z - w) ** 4 * (z + 1) + 1, z - w),
+    ):
+        with pytest.raises(ValueError):
+            dividend.exact_div(divisor)
 
 
 # ----------------------------------------------------------------------
