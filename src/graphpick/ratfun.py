@@ -435,59 +435,25 @@ def _normalize_content_sign(p: Polynomial) -> Polynomial:
 
 # ----------------------------------------------------------------------
 # multivariate gcd: contents stripped recursively, then a subresultant
-# polynomial remainder sequence in the highest variable present.
+# polynomial remainder sequence (Collins 1967; Brown & Traub 1971) in the
+# first of z, w, lam present, run on the packed polynomials themselves.
 
 
-def _join_var(u: dict[int, Polynomial], vi: int) -> Polynomial:
-    shift = _SHIFTS[vi]
-    out: dict[int, int] = {}
-    for e, poly in u.items():
-        off = e << shift
-        for key, c in poly._terms.items():
-            out[key | off] = c
-    return Polynomial(out)
-
-
-def _uv_lc(u: dict[int, Polynomial]) -> Polynomial:
-    return u[max(u)]
-
-
-def _uv_scale(u: dict[int, Polynomial], s: Polynomial) -> dict[int, Polynomial]:
-    return {e: c * s for e, c in u.items()}
-
-
-def _uv_sub(a: dict[int, Polynomial], b: dict[int, Polynomial]) -> dict[int, Polynomial]:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, _P_ZERO) - c
-        if v.is_zero:
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
-def _uv_prem(a: dict[int, Polynomial], b: dict[int, Polynomial]) -> dict[int, Polynomial]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
-    db = max(b)
-    lb = _uv_lc(b)
-    r = dict(a)
-    steps = max(a) - db + 1
-    done = 0
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        shifted = {e + dr - db: c * lr for e, c in b.items()}
-        r = _uv_sub(_uv_scale(r, lb), shifted)
-        done += 1
-    if done < steps and r:
-        mult = lb ** (steps - done)
-        r = _uv_scale(r, mult)
+def _prem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, degrees in var."""
+    shift = _SHIFTS[_VAR_INDEX[var]]
+    db = b.degree(var)
+    lb = b.coefficients(var)[db]
+    r = a
+    steps = a.degree(var) - db + 1
+    while r and (dr := r.degree(var)) >= db:
+        off = (dr - db) << shift
+        shifted = Polynomial({k + off: c for k, c in b._terms.items()})
+        r = r * lb - shifted * r.coefficients(var)[dr]
+        steps -= 1
+    if steps > 0 and r:
+        r = r * lb**steps
     return r
-
-
-def _uv_exact_div(u: dict[int, Polynomial], s: Polynomial) -> dict[int, Polynomial]:
-    return {e: c.exact_div(s) for e, c in u.items()}
 
 
 def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
@@ -505,51 +471,38 @@ def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
 def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
     if a._terms == b._terms:
         return a
-    vi = None
-    for i in range(3):
-        shift = _SHIFTS[i]
-        if any((k >> shift) & _MASK for k in a._terms) or any(
-            (k >> shift) & _MASK for k in b._terms
-        ):
-            vi = i
-            break
-    if vi is None:
+    da, db = a.max_degrees(), b.max_degrees()
+    var = next((v for v, ea, eb in zip(VARIABLES, da, db) if ea or eb), None)
+    if var is None:
         return Polynomial.integer(math.gcd(a._terms[0], b._terms[0]))
     if len(a._terms) == 1:
         return _monomial_gcd(a, b)
     if len(b._terms) == 1:
         return _monomial_gcd(b, a)
 
-    ua = a.coefficients(VARIABLES[vi])
-    ub = b.coefficients(VARIABLES[vi])
-    ca = reduce(_gcd_rec, ua.values())
-    cb = reduce(_gcd_rec, ub.values())
-    if not ca.is_constant or ca._terms.get(0) != 1:
-        ua = _uv_exact_div(ua, ca)
-    if not cb.is_constant or cb._terms.get(0) != 1:
-        ub = _uv_exact_div(ub, cb)
+    ca = reduce(_gcd_rec, a.coefficients(var).values())
+    cb = reduce(_gcd_rec, b.coefficients(var).values())
+    a, b = a.exact_div(ca), b.exact_div(cb)
     c = _gcd_rec(ca, cb)
 
-    big, small = (ua, ub) if max(ua) >= max(ub) else (ub, ua)
+    big, small = (a, b) if a.degree(var) >= b.degree(var) else (b, a)
     g = h = _P_ONE
     while True:
-        if max(small) == 0:
+        if small.degree(var) == 0:
             return c
-        delta = max(big) - max(small)
-        r = _uv_prem(big, small)
+        delta = big.degree(var) - small.degree(var)
+        r = _prem(big, small, var)
         if not r:
             break
-        if max(r) == 0:
+        if r.degree(var) == 0:
             return c
-        big, small = small, _uv_exact_div(r, g * h**delta)
-        g = _uv_lc(big)
+        big, small = small, r.exact_div(g * h**delta)
+        g = big.coefficients(var)[big.degree(var)]
         if delta == 1:
             h = g
         elif delta > 1:
             h = (g**delta).exact_div(h ** (delta - 1))
-    cont = reduce(_gcd_rec, small.values())
-    prim = _uv_exact_div(small, cont)
-    return c * _join_var(prim, vi)
+    return c * small.exact_div(reduce(_gcd_rec, small.coefficients(var).values()))
 
 
 # ----------------------------------------------------------------------

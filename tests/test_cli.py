@@ -333,6 +333,19 @@ def test_computation_errors_exit_one(capsys, write_graph):
     code, _, err = run(capsys, "retract", zero_piece, "--cut", "2", "--subgraph", "3")
     assert code == 1 and "cut vertex 2" in err and "representing function is 0" in err
 
+    big = {"num": "z^600000", "den": "1"}
+    over_cap = write_graph(
+        {
+            "vertices": [{"id": 1, "color": big}, {"id": 2, "color": big}],
+            "edges": [[1, 2]],
+            "root": 1,
+        },
+        "over-cap.json",
+    )
+    code, out, err = run(capsys, "repfun", over_cap)
+    assert code == 1 and out == ""
+    assert err == "error: product exceeds the supported monomial degree\n"
+
 
 def test_retract_vertex_ids_out_of_range_exit_two(capsys, write_graph):
     single = write_graph(SINGLE_Z, "single.json")

@@ -132,6 +132,14 @@ def test_series_rendering():
     assert str(s) == "1*z^-2 + 1*z^-4 + 1*z^-6 + O(z^-7)"
     t = expand_at_infinity(rf(lam, 1 + lam * z), 2)
     assert str(t) == "1*z^-1 + (-1)/(lam)*z^-2 + O(z^-3)"
+    # positive powers, a z^0 term, a polynomial coefficient, an all-zero
+    # window and a leading minus sign
+    assert str(expand_at_infinity(rf(z**2 + 1, z), 2)) == "1*z^1 + 1*z^-1 + O(z^-3)"
+    assert str(expand_at_infinity(rf((lam + 1) * z**2 + 3, z - lam), 1)) == (
+        "(lam + 1)*z^1 + (lam^2 + lam) + (lam^3 + lam^2 + 3)*z^-1 + O(z^-2)"
+    )
+    assert str(expand_at_infinity(rf(1, z**5), 2)) == "0 + O(z^-3)"
+    assert str(expand_at_infinity(rf(-1, z**3), 4)) == "-1*z^-3 + O(z^-5)"
     payload = s.to_json()
     assert payload["start_order"] == 2
     assert payload["coefficients"][0] == {"num": "1", "den": "1"}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphpick.ratfun import (
     LAM,
+    VARIABLES,
     Polynomial,
     RatFun,
     W,
@@ -16,6 +17,7 @@ from graphpick.ratfun import (
     _coprime,
     _gcd_full,
     _gcd_rec,
+    _prem,
     parse_polynomial,
     parse_ratfun,
     poly_gcd,
@@ -185,13 +187,12 @@ def test_coprimality_test_constructed_cases():
         assert _coprime(a, b) == _coprime(b, a) == decided
 
 
+def _to_sympy(sympy, p):
+    return sympy.Poly(sympy.sympify(str(p).replace("^", "**")), *sympy.symbols("z w lam"))
+
+
 def test_coprimality_test_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols("z w lam")
-
-    def to_sympy(p):
-        return sympy.Poly(sympy.sympify(str(p).replace("^", "**")), *gens)
-
     rng = random.Random(11)
     for _ in range(30):
         a, b, g = (
@@ -204,9 +205,53 @@ def test_coprimality_test_matches_sympy():
             + rng.randint(1, 3)
             for _ in range(3)
         )
-        ours = to_sympy(_gcd_full(a * g, b * g))
-        theirs = sympy.gcd(to_sympy(a * g), to_sympy(b * g))
+        ours = _to_sympy(sympy, _gcd_full(a * g, b * g))
+        theirs = sympy.gcd(_to_sympy(sympy, a * g), _to_sympy(sympy, b * g))
         assert ours in (theirs, -theirs)
+
+
+def test_subresultant_gcd_matches_sympy():
+    """The subresultant gcd alone, on cases that reach each of its branches."""
+    sympy = pytest.importorskip("sympy")
+    cases = [
+        # z-degree gaps of 2 or more: the h = g^delta / h^(delta - 1) update;
+        # in the first pair a wrong h makes a later division inexact
+        (
+            8 * z**7 + 2 * z**4 - z**3 + 4 * z**2 + 3 * z + 4,
+            2 * z**6 + 3 * z**5 - z**3 + 2 * z + 2,
+        ),
+        ((z**5 + w * z + 1) * (z * w - 1), (w * z**2 + 3) * (z * w - 1)),
+        ((w * z**6 + lam) * (z + w), ((w + 1) * z**3 - 2) * (z + w)),
+        # nontrivial contents in w and in lam
+        ((z * w + 1) * (w + 1) * (lam**2 + 3), (z - w) * (w + 1) ** 2 * (lam**2 + 3)),
+        (3 * (z + lam) * (w + 1) * (lam**2 + 3), 6 * (z**2 - w) * (lam**2 + 3)),
+        # no z: the recursion starts at w, or at lam
+        ((w**2 - lam) * (w + lam + 1), (w * lam - 2) * (w + lam + 1)),
+        ((lam**3 - 2) * (2 * lam + 4), 6 * (lam + 2) * (lam - 1)),
+        # one monomial operand
+        (3 * z**2 * w * lam, 6 * z**3 * lam**2 + 9 * z * w * lam),
+        (z * w, z + w),
+    ]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            want = sympy.gcd(_to_sympy(sympy, x), _to_sympy(sympy, y))
+            assert _to_sympy(sympy, _gcd_rec(x, y)) in (want, -want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=5, max_exp=3),
+    polynomials(nonzero=True, max_terms=4),
+    st.sampled_from(VARIABLES),
+)
+def test_pseudo_remainder(a, b, var):
+    if a.degree(var) < b.degree(var):
+        a, b = b, a
+    da, db = a.degree(var), b.degree(var)
+    r = _prem(a, b, var)
+    assert r.degree(var) < db
+    lead = b.coefficients(var)[db]
+    assert b.divides(lead ** (da - db + 1) * a - r)
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +293,7 @@ def test_inexact_division_stops_early():
         (z**4 * w, z * w - lam),
         (lam**3, z + lam),
         ((z - w) ** 4 * (z + 1) + 1, z - w),
+        (2 * z + 1, Polynomial.integer(2)),
     ):
         with pytest.raises(ValueError):
             dividend.exact_div(divisor)
@@ -453,6 +499,14 @@ def test_parse_power_is_one_monomial():
     assert parse_polynomial("3*w^0*lam^2") == 3 * lam * lam
     with pytest.raises(ValueError, match="exponent out of range"):
         parse_polynomial("w^1048576")
+
+
+def test_product_over_the_exponent_cap_is_rejected():
+    big = parse_polynomial("z^600000")
+    with pytest.raises(ValueError, match="product exceeds the supported monomial degree"):
+        big * big
+    with pytest.raises(ValueError, match="product exceeds the supported monomial degree"):
+        parse_polynomial("z^600000*w") ** 2
 
 
 def test_parse_rejects_garbage():
