@@ -111,16 +111,8 @@ class Polynomial:
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int, int], int]) -> Polynomial:
-        out: dict[int, int] = {}
-        for (ez, ew, el), c in terms.items():
-            if c:
-                key = _pack(ez, ew, el)
-                v = out.get(key, 0) + c
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return cls(out)
+        # distinct exponent triples pack to distinct keys, so nothing cancels
+        return cls({_pack(ez, ew, el): c for (ez, ew, el), c in terms.items() if c})
 
     # ------------------------------------------------------------------
     # inspection
@@ -311,17 +303,11 @@ class Polynomial:
 
     def derivative(self, var: str) -> Polynomial:
         shift = _SHIFTS[_VAR_INDEX[var]]
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            e = (k >> shift) & _MASK
-            if e:
-                key = k - (1 << shift)
-                v = out.get(key, 0) + c * e
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return Polynomial(out)
+        step = 1 << shift
+        # lowering one exponent by one maps distinct keys to distinct keys
+        return Polynomial(
+            {k - step: c * e for k, c in self._terms.items() if (e := (k >> shift) & _MASK)}
+        )
 
     def coefficients(self, var: str) -> dict[int, Polynomial]:
         """Split by powers of one variable: exponent -> coefficient polynomial."""
@@ -821,126 +807,60 @@ LAM = RatFun(Polynomial.variable("lam"))
 # parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(lambda|lam|λ)|([zw])|([*^+()\-/]))")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ValueError(f"cannot parse polynomial near {tail[:12]!r}")
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    return tokens
-
-
-class _PolyParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial text")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        out = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok == "+":
-                self.take()
-                out = out + self.parse_term()
-            elif tok == "-":
-                self.take()
-                out = out - self.parse_term()
-            elif tok is None:
-                return out
-            else:
-                raise ValueError(f"unexpected token {tok!r} in polynomial")
-
-    def parse_term(self) -> Polynomial:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        out = self.parse_factor()
-        while self.peek() == "*":
-            self.take()
-            out = out * self.parse_factor()
-        return out if sign > 0 else -out
-
-    def parse_factor(self) -> Polynomial:
-        tok = self.take()
-        if tok.isdigit():
-            return Polynomial.integer(int(tok))
-        if tok in _VAR_INDEX:
-            exp = 1
-            if self.peek() == "^":
-                self.take()
-                etok = self.take()
-                if not etok.isdigit():
-                    raise ValueError("exponent must be a nonnegative integer")
-                exp = int(etok)
-            exps = [0, 0, 0]
-            exps[_VAR_INDEX[tok]] = exp
-            return Polynomial({_pack(*exps): 1})
-        raise ValueError(f"unexpected token {tok!r} in polynomial")
+# The grammar has no nesting, so the text is read by one anchored match per
+# term.  Neighbouring pieces of the pattern match disjoint characters, so a
+# failed match backtracks only over the run of signs and spaces it scanned.
+_FACTOR = r"(?:\d+|(?:lambda|lam|λ|[zw])(?:\s*\^\s*\d+)?)"
+_TERM_RE = re.compile(rf"([\s+-]*)({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+_FACTOR_RE = re.compile(r"(\d+)|(lambda|lam|λ|[zw])(?:\s*\^\s*(\d+))?")
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse a sum of signed terms, each a ``*``-product of integers and powers."""
+    if not text.strip():
         raise ValueError("empty polynomial text")
-    parser = _PolyParser(tokens)
-    poly = parser.parse()
-    return poly
-
-
-def _strip_outer_parens(text: str) -> str:
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        return s
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0 and i != len(s) - 1:
-                return s
-    return s[1:-1]
+    out: dict[int, int] = {}
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        # every term after the first is joined to the sum by a sign
+        if m is None or (pos and not m[1]):
+            raise ValueError(f"cannot parse polynomial near {text[pos:].lstrip()[:12]!r}")
+        term = None
+        for digits, var, exp in _FACTOR_RE.findall(m[2]):
+            if digits:
+                factor = Polynomial.integer(int(digits))
+            else:
+                exps = [0, 0, 0]
+                exps[_VAR_INDEX[var]] = int(exp) if exp else 1
+                factor = Polynomial({_pack(*exps): 1})
+            # multiplied in order: a product already zero skips the degree check
+            term = factor if term is None else term * factor
+        sign = -1 if m[1].count("-") % 2 else 1
+        for k, c in term._terms.items():
+            v = out.get(k, 0) + sign * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        pos = m.end()
+    return Polynomial(out)
 
 
 def parse_ratfun(text: str) -> RatFun:
-    """Parse the canonical rendering: a polynomial or ``(num)/(den)``."""
-    s = text.strip()
-    depth = 0
-    split = None
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split is not None:
-                raise ValueError("more than one top-level '/' in rational function")
-            split = i
-    if split is None:
-        return RatFun(parse_polynomial(s))
-    num = parse_polynomial(_strip_outer_parens(s[:split]))
-    den = parse_polynomial(_strip_outer_parens(s[split + 1 :]))
-    return RatFun(num, den)
+    """Parse the canonical rendering: a polynomial or ``(num)/(den)``.
+
+    Each side of the ``/`` may be wrapped in one pair of parentheses.
+    """
+    num, slash, den = text.partition("/")
+    if not slash:
+        return RatFun(parse_polynomial(text))
+    if "/" in den:
+        raise ValueError("more than one '/' in rational function")
+    num, den = (
+        s[1:-1] if s[:1] == "(" and s[-1:] == ")" else s for s in (num.strip(), den.strip())
+    )
+    return RatFun(parse_polynomial(num), parse_polynomial(den))
 
 
 _ECHO_LIMIT = 60

@@ -1,0 +1,59 @@
+"""Every library input check raises its own error before any computation."""
+
+import pytest
+
+from graphpick.graphs import ColoredGraph, distance, retract
+from graphpick.laurent import level_curve, walk_generating_series
+from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
+from graphpick.ratfun import LAM, Polynomial, RatFun
+from graphpick.sticks import stick_recurrence, stick_series_coefficients
+
+z = Polynomial.variable("z")
+PATH3 = ColoredGraph.build(["z", "z", "z"], [(1, 2), (2, 3)])
+IDENTITY2 = SymMatrix.identity(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Polynomial.variable("q"), ValueError, "unknown variable"),
+        (lambda: (z + 1).constant_value(), ValueError, "not constant"),
+        (lambda: z**-1, ValueError, "nonnegative integer exponent"),
+        (lambda: z.exact_div(Polynomial.zero()), ZeroDivisionError, "division by zero"),
+        (lambda: RatFun(z) ** 0.5, ValueError, "integer exponent"),
+        (lambda: RatFun("z"), TypeError, "cannot interpret"),
+        (lambda: SymMatrix.from_rows([[1, 0], [0]]), ValueError, "same length"),
+        (lambda: inverse_entry(IDENTITY2, 3), ValueError, "out of range for a 2x2"),
+        (lambda: schur_reduce(IDENTITY2, []), ValueError, "must not be empty"),
+        (lambda: schur_reduce(IDENTITY2, [1, 3]), ValueError, "keep set out of range"),
+        (lambda: walk_generating_series(PATH3, 1, 4, 5), ValueError, "vertex out of range"),
+        (lambda: level_curve(LAM), ValueError, "already depends on lam"),
+        (lambda: retract(PATH3, 4, [3]), ValueError, "cut vertex 4 out of range"),
+        (lambda: retract(PATH3, 2, [5]), ValueError, "subgraph vertex 5 out of range"),
+        (lambda: distance(PATH3, 0, 1), ValueError, "vertex out of range"),
+        (lambda: stick_recurrence(-1), ValueError, "nonnegative"),
+        (lambda: stick_series_coefficients(-1), ValueError, "nonnegative"),
+    ],
+    ids=[
+        "unknown-variable",
+        "constant-value",
+        "negative-power",
+        "exact-div-by-zero",
+        "fractional-power",
+        "ratfun-from-str",
+        "ragged-rows",
+        "inverse-entry-index",
+        "schur-empty-keep",
+        "schur-keep-range",
+        "walk-vertex",
+        "level-curve-lam",
+        "retract-cut",
+        "retract-subgraph",
+        "distance-vertex",
+        "stick-recurrence",
+        "stick-series",
+    ],
+)
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

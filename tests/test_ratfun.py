@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -516,6 +518,130 @@ def test_parse_rejects_garbage():
         parse_polynomial("q + 1")
     with pytest.raises(ValueError):
         parse_polynomial("")
+
+
+# the grammar: a sum of terms, each a run of signs (at least one sign after
+# the first term) and a "*"-product of integers and powers var^n; spaces may
+# stand between any two tokens; a rational function is one polynomial or two
+# joined by "/", each side in at most one pair of parentheses
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (" \t2 * z ^ 3 \n- w * lam ^ 2 + 7 ", rf(2 * z**3 - w * lam**2 + 7)),
+        ("- - z", rf(z)),
+        ("+ -z", rf(-z)),
+        ("z - + - w", rf(z + w)),
+        ("2*3*z*z", rf(6 * z**2)),
+        ("λ^2", rf(lam**2)),
+        ("lambda", rf(lam)),
+        ("٣*z", rf(3 * z)),
+        ("z^0", rf(one)),
+        ("z - z", RatFun(0)),
+        ("z   ", rf(z)),
+        (" ( z + 1 ) / ( w ) ", rf(z + 1, w)),
+        ("z + 1/w", rf(z + 1, w)),
+        ("0*z^600000*z^600000", RatFun(0)),
+    ],
+)
+def test_parse_accepts(text, value):
+    assert parse_ratfun(text) == value
+    if "/" not in text:
+        assert parse_polynomial(text) == value.num
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "   ",
+        "z +",
+        "z w",
+        "2z",
+        "z^",
+        "z^-1",
+        "z^2^3",
+        "*z",
+        "(z)",
+        "((z))/(1)",
+        "z/w/1",
+        "z/",
+        "q + 1",
+        "z + 2*",
+        # over CPython's default limit on int() of a digit string
+        "1" * 5000,
+        # multiplied in order, the product overflows before the zero factor
+        "z^600000*z^600000*0",
+    ],
+)
+def test_parse_rejects(text):
+    for parse in (parse_polynomial, parse_ratfun):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
+def test_parse_errors_quote_where_parsing_stopped():
+    with pytest.raises(ValueError, match="empty"):
+        parse_polynomial("  ")
+    for text, rest in (("z + 2*w*", "'*'"), ("2z", "'z'"), ("z +", "'+'"), ("  q", "'q'")):
+        with pytest.raises(ValueError, match=re.escape(rest)):
+            parse_polynomial(text)
+
+
+def test_parse_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        parse_ratfun("(z)/(0)")
+
+
+_SPACES = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def noisy_renderings(draw):
+    """A polynomial and a text for it in any spelling the grammar allows."""
+    p = draw(polynomials(max_terms=5, max_exp=3))
+    if p.is_zero:
+        return p, draw(st.sampled_from(["0", " - 0 ", "0*z", "z - z", "2*w - w*2"]))
+
+    def spaced(parts, sep=""):
+        return sep.join(draw(_SPACES) + part + draw(_SPACES) for part in parts)
+
+    text = draw(_SPACES)
+    for i, (exps, c) in enumerate(p.terms()):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=0 if i == 0 else 1, max_size=3))
+        if signs.count("-") % 2 != (c < 0):
+            signs.append("-")
+        factors = []
+        for name, e in zip(("z", "w", "lam"), exps):
+            if name == "lam":
+                name = draw(st.sampled_from(["lam", "lambda", "λ"]))
+            if e == 1 and draw(st.booleans()):
+                factors.append(name)
+            elif e or draw(st.booleans()):
+                factors.append(f"{name}{draw(_SPACES)}^{draw(_SPACES)}{e}")
+        mag = abs(c)
+        split = draw(st.sampled_from([d for d in range(1, mag + 1) if mag % d == 0]))
+        if draw(st.booleans()):
+            factors += [str(split), str(mag // split)]
+        elif mag != 1 or not factors or draw(st.booleans()):
+            factors.append(str(mag))
+        text += spaced(signs) + spaced(draw(st.permutations(factors)), "*")
+    return p, text + draw(_SPACES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy_renderings())
+def test_parse_noisy_rendering(case):
+    p, text = case
+    assert parse_polynomial(text) == p
+    assert parse_ratfun(f" ( {text} ) / ( 1 ) ") == RatFun(p)
+
+
+def test_parse_is_linear_in_the_term_count():
+    text = " + ".join(f"z^{i}" for i in range(1, 64001))
+    start = time.perf_counter()
+    p = parse_polynomial(text)
+    assert time.perf_counter() - start < 5.0
+    assert p.degree() == 64000 and len(p.terms()) == 64000
 
 
 def test_json_roundtrip():
