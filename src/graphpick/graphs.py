@@ -10,13 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import SymMatrix, sparse_inverse_entry
+from .linalg import SymMatrix, inverse_entry
 from .ratfun import Polynomial, RatFun, clipped_repr, ratfun_from_json
 
 _RF_Z = RatFun(Polynomial.variable("z"))
 _RF_W = RatFun(Polynomial.variable("w"))
 _RF_ONE = RatFun(1)
-_RF_ZERO = RatFun(0)
 
 
 class GraphFormatError(ValueError):
@@ -110,23 +109,12 @@ class ColoredGraph:
         return all(c.kind in ("z", "w") for c in self.colors)
 
 
-def colored_rows(g: ColoredGraph) -> dict[int, dict[int, RatFun]]:
-    """Nonzero entries of the colored adjacency matrix, row by row."""
-    rows = {v: {} for v in range(1, g.n + 1)}
-    for v in rows:
-        d = g.color(v).diagonal()
-        if not d.is_zero:
-            rows[v][v] = d
-    for i, j in g.edges:
-        rows[i][j] = _RF_ONE
-        rows[j][i] = _RF_ONE
-    return rows
-
-
 def colored_adjacency(g: ColoredGraph) -> SymMatrix:
     """Adjacency matrix with the color diagonal (-z, -w or -label)."""
-    rows = colored_rows(g)
-    return SymMatrix(tuple(tuple(row.get(j, _RF_ZERO) for j in rows) for row in rows.values()))
+    entries = {(v, v): g.color(v).diagonal() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        entries[i, j] = entries[j, i] = _RF_ONE
+    return SymMatrix(g.n, entries)
 
 
 def _carry_edges(edges: Iterable[tuple[int, int]], index: dict[int, int]) -> frozenset:
@@ -229,7 +217,7 @@ def retract(
 
     # pendant piece rooted at the cut, with the cut's original color
     piece = _renumber(g, [cut] + sorted(ks), cut)
-    f_piece = sparse_inverse_entry(colored_rows(piece), 1, 1)
+    f_piece = inverse_entry(colored_adjacency(piece), 1)
     if f_piece.is_zero:
         raise ValueError(
             f"cannot retract at cut vertex {cut}: the piece's representing function is 0"
@@ -240,58 +228,42 @@ def retract(
     return _renumber(recolored, [v for v in range(1, n + 1) if v not in ks], g.root)
 
 
-def distance(g: ColoredGraph, i: int, j: int) -> int | float:
-    """Shortest-path edge count between vertices; inf when disconnected."""
-    n = g.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("vertex out of range")
-    if i == j:
-        return 0
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+def _breadth_first(g: ColoredGraph, starts: Iterable[int]) -> list[dict[int, int]]:
+    """One search from each start that no earlier search reached.
+
+    Each search maps the vertices it reaches to their edge count from its start.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
     for a, b in g.edges:
         adj[a].append(b)
         adj[b].append(a)
-    seen = {i}
-    frontier = [i]
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = []
-        for v in frontier:
+    seen: set[int] = set()
+    searches = []
+    for start in starts:
+        if start in seen:
+            continue
+        dist = {start: 0}
+        queue = [start]
+        for v in queue:
             for u in adj[v]:
-                if u in seen:
-                    continue
-                if u == j:
-                    return steps
-                seen.add(u)
-                nxt.append(u)
-        frontier = nxt
-    return float("inf")
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        seen.update(dist)
+        searches.append(dist)
+    return searches
+
+
+def distance(g: ColoredGraph, i: int, j: int) -> int | float:
+    """Shortest-path edge count between vertices; inf when disconnected."""
+    if not (1 <= i <= g.n and 1 <= j <= g.n):
+        raise ValueError("vertex out of range")
+    return _breadth_first(g, [i])[0].get(j, float("inf"))
 
 
 def components(g: ColoredGraph) -> tuple[frozenset[int], ...]:
     """Connected components, ordered by their smallest vertex."""
-    n = g.n
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    unseen = set(range(1, n + 1))
-    blocks = []
-    while unseen:
-        start = min(unseen)
-        block = {start}
-        stack = [start]
-        unseen.discard(start)
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in unseen:
-                    unseen.discard(u)
-                    block.add(u)
-                    stack.append(u)
-        blocks.append(frozenset(block))
-    return tuple(blocks)
+    return tuple(frozenset(d) for d in _breadth_first(g, range(1, g.n + 1)))
 
 
 # ----------------------------------------------------------------------

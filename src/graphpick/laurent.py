@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Z_COLOR, ColoredGraph, colored_rows, distance
-from .linalg import sparse_inverse_entry
+from .graphs import Z_COLOR, ColoredGraph, colored_adjacency, distance
+from .linalg import inverse_entry
 from .nevanlinna import representing_function
 from .ratfun import Polynomial, RatFun
 
@@ -53,23 +53,21 @@ class LaurentSeries:
         return self.coefficients[idx]
 
     def __str__(self):
+        def power(k: int) -> str:
+            return f"z^-{k}" if k > 0 else f"z^{-k}" if k < 0 else ""
+
         parts: list[str] = []
         for idx, c in enumerate(self.coefficients):
             if c.is_zero:
                 continue
-            k = self.start_order + idx
             if c.den == Polynomial.one() and len(c.num.terms()) <= 1:
                 ctext = str(c.num)
             elif c.den == Polynomial.one():
                 ctext = f"({c.num})"
             else:
                 ctext = str(c)
-            if k > 0:
-                term = f"{ctext}*z^-{k}"
-            elif k == 0:
-                term = ctext
-            else:
-                term = f"{ctext}*z^{-k}"
+            zk = power(self.start_order + idx)
+            term = f"{ctext}*{zk}" if zk else ctext
             if not parts:
                 parts.append(term)
             elif term.startswith("-"):
@@ -78,7 +76,7 @@ class LaurentSeries:
                 parts.append(f" + {term}")
         if not parts:
             parts.append("0")
-        parts.append(f" + O(z^-{self.truncation_order + 1})")
+        parts.append(f" + O({power(self.truncation_order + 1) or 1})")
         return "".join(parts)
 
     def to_json(self) -> dict:
@@ -151,8 +149,8 @@ def walk_generating_series(
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("vertex out of range")
     # A - zI is the colored adjacency matrix of the all-z recoloring
-    rows = colored_rows(ColoredGraph((Z_COLOR,) * n, g.edges))
-    return expand_at_infinity(sparse_inverse_entry(rows, i, j), order)
+    m = colored_adjacency(ColoredGraph((Z_COLOR,) * n, g.edges))
+    return expand_at_infinity(inverse_entry(m, i, j), order)
 
 
 def first_nonzero_order(s: LaurentSeries) -> int:

@@ -14,7 +14,6 @@ and a Schur complement keeps the requested block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Collection, Iterable, Sequence
 
@@ -23,61 +22,63 @@ from .ratfun import Polynomial, RatFun, poly_gcd, poly_lcm
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
 _RF_ZERO = RatFun(0)
-
-# A sparse symmetric matrix: 1-based index -> {index: entry}, with both
-# triangles present; zero entries may be left out.
-Rows = dict[int, dict[int, RatFun]]
+_RF_ONE = RatFun(1)
 
 
-@dataclass(frozen=True)
 class SymMatrix:
-    """Symmetric square matrix of rational functions; indices are 1-based."""
+    """Sparse symmetric n x n matrix of rational functions; indices are 1-based.
 
-    rows: tuple[tuple[RatFun, ...], ...]
+    Built from ``{(i, j): entry}`` with both triangles given; only the
+    nonzero entries are kept.  ``from_rows`` is the dense entry point.
+    """
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError("matrix rows must all have the same length")
-            if any(row[j] != self.rows[j][i] for j in range(i)):
-                raise ValueError(f"matrix is not symmetric in row {i + 1}")
+    __slots__ = ("n", "_rows")
+
+    def __init__(self, n: int, entries: dict[tuple[int, int], RatFun]):
+        # index -> {index: nonzero entry}, both triangles
+        rows: dict[int, dict[int, RatFun]] = {i: {} for i in range(1, n + 1)}
+        asymmetric = []
+        for (i, j), e in entries.items():
+            if i not in rows or j not in rows:
+                raise ValueError(f"matrix index ({i}, {j}) out of range for a {n}x{n} matrix")
+            if entries.get((j, i), _RF_ZERO) != e:
+                asymmetric.append(max(i, j))
+            elif not e.is_zero:
+                rows[i][j] = e
+        if asymmetric:
+            raise ValueError(f"matrix is not symmetric in row {min(asymmetric)}")
+        self.n = n
+        self._rows = rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> SymMatrix:
-        out = []
-        for row in rows:
-            out.append(
-                tuple(e if isinstance(e, RatFun) else RatFun(e) for e in row)
-            )
-        return cls(tuple(out))
+        dense = [list(row) for row in rows]
+        if any(len(row) != len(dense) for row in dense):
+            raise ValueError("matrix rows must all have the same length")
+        return cls(
+            len(dense),
+            {
+                (i, j): e if isinstance(e, RatFun) else RatFun(e)
+                for i, row in enumerate(dense, 1)
+                for j, e in enumerate(row, 1)
+            },
+        )
 
     @classmethod
     def identity(cls, n: int) -> SymMatrix:
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+        return cls(n, {(i, i): _RF_ONE for i in range(1, n + 1)})
 
     def entry(self, i: int, j: int) -> RatFun:
-        return self.rows[i - 1][j - 1]
+        return self._rows[i].get(j, _RF_ZERO)
 
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
-
-
-def _sparse(m: SymMatrix) -> Rows:
-    return {
-        i: {j: e for j, e in enumerate(row, 1) if not e.is_zero}
-        for i, row in enumerate(m.rows, 1)
-    }
+    @property
+    def rows(self) -> tuple[tuple[RatFun, ...], ...]:
+        """Dense view, row by row."""
+        return tuple(tuple(self.entry(i, j) for j in self._rows) for i in self._rows)
 
 
-def eliminate(rows: Rows, keep: Collection[int]):
-    """Eliminate every index outside ``keep`` from a sparse symmetric matrix.
+def eliminate(m: SymMatrix, keep: Collection[int]):
+    """Eliminate every index outside ``keep`` from a symmetric matrix.
 
     The matrix A is first scaled to the polynomial matrix B = D*A*D/c, with
     d_i the lcm of the denominators in row i and c the gcd of all d_i.
@@ -89,6 +90,7 @@ def eliminate(rows: Rows, keep: Collection[int]):
     ``keep``, ``left`` holds eliminable indices only when the eliminable
     block is singular, and then its Schur complement is zero there.
     """
+    rows = m._rows
     dens = {
         i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
         for i, row in rows.items()
@@ -172,15 +174,23 @@ def eliminate(rows: Rows, keep: Collection[int]):
 
 def determinant(m: SymMatrix) -> RatFun:
     """Exact determinant; the zero rational function for singular input."""
-    left, pivot, scale = eliminate(_sparse(m), ())
+    left, pivot, scale = eliminate(m, ())
     if left:
         return _RF_ZERO
     return RatFun(pivot, math.prod((scale(i, i) for i in range(1, m.n + 1)), start=_P_ONE))
 
 
-def sparse_inverse_entry(rows: Rows, i: int, j: int) -> RatFun:
-    """Entry (i, j) of the inverse of a sparse symmetric matrix."""
-    left, pivot, scale = eliminate(rows, {i, j})
+def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
+    """Entry (i, j) of the matrix inverse.
+
+    Defaults to the diagonal entry (i, i).  Indices are 1-based.
+    """
+    if j is None:
+        j = i
+    n = m.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"index ({i}, {j}) out of range for a {n}x{n} matrix")
+    left, pivot, scale = eliminate(m, {i, j})
     if i == j:
         if len(left) > 1:
             # The cofactor of (i, i) is singular, so by Jacobi's identity the
@@ -202,25 +212,13 @@ def sparse_inverse_entry(rows: Rows, i: int, j: int) -> RatFun:
     # No Schur complement onto {i, j}.  Subtracting row and column j from
     # row and column i is a congruence after which the (j, j) inverse entry
     # is (e_i + e_j)^T A^-1 (e_i + e_j); polarize.
-    moved = {r: dict(row) for r, row in rows.items()}
-    for c in rows:
-        moved[i][c] = moved[c][i] = rows[i].get(c, _RF_ZERO) - rows[j].get(c, _RF_ZERO)
-    moved[i][i] = moved[i][i] - rows[j].get(i, _RF_ZERO) + rows[j].get(j, _RF_ZERO)
-    diagonal = sparse_inverse_entry(rows, i, i) + sparse_inverse_entry(rows, j, j)
-    return (sparse_inverse_entry(moved, j, j) - diagonal) / 2
-
-
-def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
-    """Entry (i, j) of the matrix inverse.
-
-    Defaults to the diagonal entry (i, i).  Indices are 1-based.
-    """
-    if j is None:
-        j = i
-    n = m.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"index ({i}, {j}) out of range for a {n}x{n} matrix")
-    return sparse_inverse_entry(_sparse(m), i, j)
+    a = m.entry
+    moved = {(r, c): e for r, row in m._rows.items() for c, e in row.items()}
+    for c in range(1, n + 1):
+        moved[i, c] = moved[c, i] = a(i, c) - a(j, c)
+    moved[i, i] = moved[i, i] - a(j, i) + a(j, j)
+    diagonal = inverse_entry(m, i) + inverse_entry(m, j)
+    return (inverse_entry(SymMatrix(n, moved), j) - diagonal) / 2
 
 
 def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
@@ -229,15 +227,16 @@ def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
     The result is ordered by ascending kept index and has the same inverse
     entries as the original matrix on the kept block.
     """
-    n = m.n
     ks = sorted(set(keep))
     if not ks:
         raise ValueError("keep set must not be empty")
-    if ks[0] < 1 or ks[-1] > n:
+    if ks[0] < 1 or ks[-1] > m.n:
         raise ValueError("keep set out of range")
-    left, pivot, scale = eliminate(_sparse(m), ks)
+    left, pivot, scale = eliminate(m, ks)
     if len(left) > len(ks):
         raise ValueError("singular block in Schur reduction")
+    at = {k: a for a, k in enumerate(ks, 1)}
     return SymMatrix(
-        tuple(tuple(RatFun(left[i].get(j, _P_ZERO), pivot * scale(i, j)) for j in ks) for i in ks)
+        len(ks),
+        {(at[i], at[j]): RatFun(e, pivot * scale(i, j)) for i in ks for j, e in left[i].items()},
     )

@@ -2,8 +2,8 @@
 
 The representing function at vertex k is the (k, k) entry of the inverse
 colored adjacency matrix.  It is built straight from the graph's colors and
-edges as a sparse symmetric matrix and handed to the one elimination
-routine of :mod:`graphpick.linalg`, which eliminates every other vertex:
+edges as a sparse symmetric matrix, and :func:`graphpick.linalg.inverse_entry`
+runs the one elimination routine on it, eliminating every other vertex:
 the last pivot and the surviving entry are the cofactor and the
 determinant, so a single pass yields the reduced rational function.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, colored_rows, comb_product_z, retract, star_product
-from .linalg import sparse_inverse_entry
+from .graphs import ColoredGraph, colored_adjacency, comb_product_z, retract, star_product
+from .linalg import inverse_entry
 from .ratfun import RatFun
 
 
@@ -25,7 +25,7 @@ def representing_function(g: ColoredGraph, vertex: int | None = None) -> RatFun:
     k = g.root if vertex is None else vertex
     if not (1 <= k <= g.n):
         raise ValueError(f"vertex {k} out of range 1..{g.n}")
-    return sparse_inverse_entry(colored_rows(g), k, k)
+    return inverse_entry(colored_adjacency(g), k)
 
 
 def reciprocal_transform(g: ColoredGraph, vertex: int | None = None) -> RatFun:

@@ -248,9 +248,13 @@ class Polynomial:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers need a nonnegative integer exponent")
-        out = _P_ONE
-        for _ in range(e):
-            out = out * self
+        out, base = _P_ONE, self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def exact_div(self, d: Polynomial) -> Polynomial:
@@ -724,10 +728,9 @@ class RatFun:
         if not isinstance(e, int):
             raise ValueError("rational powers need an integer exponent")
         base = self if e >= 0 else self.reciprocal()
-        out = _RF_ONE
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+        # powers of coprime polynomials stay coprime, and den's positive
+        # leading coefficient stays positive
+        return RatFun._raw(base.num ** abs(e), base.den ** abs(e))
 
     def reciprocal(self) -> RatFun:
         if self.num.is_zero:
@@ -796,7 +799,6 @@ def _sign_fix(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]
 
 
 _RF_ZERO = RatFun(0)
-_RF_ONE = RatFun(1)
 
 Z = RatFun(Polynomial.variable("z"))
 W = RatFun(Polynomial.variable("w"))

@@ -5,14 +5,18 @@ determinants by recursive cofactor expansion and inverse entries from the
 adjugate, all in plain rational-function arithmetic.  Matrices are nested
 sequences of entries (a ``SymMatrix``'s ``rows`` qualify), because minors
 of a symmetric matrix need not be symmetric.  ``resolvent_oracle`` is the
-floating-point one: a numpy LU solve at a single point.
+floating-point one: a numpy LU solve at a single point.  The modular
+oracles evaluate a matrix exactly at a random point modulo the prime
+2^61 - 1 and solve it there by Gaussian elimination; comparing a symbolic
+result with them at a few points is an identity test with no tolerance
+(Schwartz-Zippel) that stays fast on graphs far beyond the cofactor oracles.
 """
 
 import numpy as np
 
 from graphpick.graphs import ColoredGraph
 from graphpick.numcheck import eval_complex
-from graphpick.ratfun import RatFun
+from graphpick.ratfun import Polynomial, RatFun
 
 
 def cofactor_determinant(rows) -> RatFun:
@@ -63,3 +67,100 @@ def resolvent_oracle(g: ColoredGraph, k: int, z: complex, w: complex) -> complex
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"numerically singular colored matrix: {exc}") from exc
     return complex(x[k - 1])
+
+
+# ----------------------------------------------------------------------
+# exact values at random points modulo a prime
+
+PRIME = (1 << 61) - 1
+
+
+class Unlucky(Exception):
+    """A denominator or a pivot vanished modulo PRIME at the chosen point."""
+
+
+def poly_mod(p: Polynomial, point) -> int:
+    z, w, lam = point
+    return sum(
+        c * pow(z, ez, PRIME) * pow(w, ew, PRIME) * pow(lam, el, PRIME)
+        for (ez, ew, el), c in p.terms()
+    ) % PRIME
+
+
+def ratfun_mod(f: RatFun, point) -> int:
+    den = poly_mod(f.den, point)
+    if not den:
+        raise Unlucky
+    return poly_mod(f.num, point) * pow(den, -1, PRIME) % PRIME
+
+
+def graph_matrix_mod(g: ColoredGraph, point) -> list[list[int]]:
+    """The colored adjacency matrix of g at ``point``, from its colors and edges."""
+    n = g.n
+    a = [[0] * n for _ in range(n)]
+    for v in range(1, n + 1):
+        a[v - 1][v - 1] = ratfun_mod(g.color(v).diagonal(), point)
+    for i, j in g.edges:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = 1
+    return a
+
+
+def determinant_mod(a) -> int:
+    """Determinant mod PRIME by Gaussian elimination with row swaps."""
+    a = [list(row) for row in a]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det = det * a[c][c] % PRIME
+        inv = pow(a[c][c], -1, PRIME)
+        for r in range(c + 1, n):
+            f = a[r][c] * inv % PRIME
+            if f:
+                a[r] = [(x - f * y) % PRIME for x, y in zip(a[r], a[c])]
+    return det % PRIME
+
+
+def inverse_entry_mod(a, i: int, j: int) -> int:
+    """Entry (i, j) of the inverse mod PRIME, 1-based: Gauss-Jordan on A x = e_j.
+
+    Raises ``Unlucky`` when the matrix is singular at this point.
+    """
+    n = len(a)
+    aug = [list(row) + [int(r == j)] for r, row in enumerate(a, 1)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if aug[r][c]), None)
+        if r is None:
+            raise Unlucky
+        aug[c], aug[r] = aug[r], aug[c]
+        inv = pow(aug[c][c], -1, PRIME)
+        aug[c] = [x * inv % PRIME for x in aug[c]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [(x - f * y) % PRIME for x, y in zip(aug[r], aug[c])]
+    return aug[i - 1][n]
+
+
+def at_random_points(rng, check) -> None:
+    """Run ``check(point)`` at two random points where it is not ``Unlucky``.
+
+    A nonzero polynomial of degree d vanishes at a random point with
+    probability at most d/PRIME, so twenty unlucky draws mean that the
+    matrix is singular or a denominator is identically zero.
+    """
+    lucky = 0
+    for _ in range(20):
+        try:
+            check(tuple(rng.randrange(PRIME) for _ in range(3)))
+        except Unlucky:
+            continue
+        lucky += 1
+        if lucky == 2:
+            return
+    raise AssertionError("no lucky point in 20 draws")

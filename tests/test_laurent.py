@@ -140,6 +140,9 @@ def test_series_rendering():
     )
     assert str(expand_at_infinity(rf(1, z**5), 2)) == "0 + O(z^-3)"
     assert str(expand_at_infinity(rf(-1, z**3), 4)) == "-1*z^-3 + O(z^-5)"
+    # negative truncation orders: the O-term follows the terms' sign rule
+    assert str(expand_at_infinity(rf(z), -3)) == "0 + O(z^2)"
+    assert str(expand_at_infinity(rf(z), -1)) == "1*z^1 + O(1)"
     payload = s.to_json()
     assert payload["start_order"] == 2
     assert payload["coefficients"][0] == {"num": "1", "den": "1"}

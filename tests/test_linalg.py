@@ -53,7 +53,7 @@ def test_determinant_identity():
 
 
 def test_determinant_empty_and_singular():
-    assert determinant(SymMatrix(())) == rf(1)
+    assert determinant(SymMatrix.from_rows([])) == rf(1)
     sing = SymMatrix.from_rows([[1, 1], [1, 1]])
     assert determinant(sing) == rf(0)
 
@@ -107,6 +107,21 @@ def test_symmetric_matrix_required():
         SymMatrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="not symmetric"):
         SymMatrix.from_rows([[-z, 1, 0], [1, -w, rf(1, z)], [0, rf(1, w), 0]])
+
+
+def test_sparse_constructor_checks_stored_entries():
+    # zero entries are dropped; a missing entry reads as zero
+    m = SymMatrix(3, {(1, 1): rf(-z), (1, 3): rf(1), (3, 1): rf(1), (2, 2): rf(0)})
+    zero = rf(0)
+    assert m.rows == ((rf(-z), zero, rf(1)), (zero, zero, zero), (rf(1), zero, zero))
+    assert determinant(m) == zero
+    with pytest.raises(ValueError, match="not symmetric in row 3"):
+        SymMatrix(3, {(1, 3): rf(1), (3, 1): rf(2)})
+    with pytest.raises(ValueError, match="not symmetric in row 2"):
+        SymMatrix(3, {(2, 1): rf(z)})
+    for bad in ((1, 3), (0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="out of range for a 2x2 matrix"):
+            SymMatrix(2, {bad: rf(1), bad[::-1]: rf(1)})
 
 
 def test_zero_diagonal_values():

@@ -1,0 +1,154 @@
+"""Exact checks of the matrix operations at random points modulo a prime.
+
+Every symbolic result is evaluated at random points mod 2^61 - 1 and
+compared with the modular oracles of ``oracles.py``, which solve the
+colored matrix at the same point without any ``graphpick.linalg`` code.
+"""
+
+import random
+
+import pytest
+
+from graphpick.gen import random_colored_graph, random_retract_instance
+from graphpick.graphs import (
+    Z_COLOR,
+    ColoredGraph,
+    colored_adjacency,
+    comb_product_z,
+    general_color,
+    retract,
+)
+from graphpick.linalg import determinant, inverse_entry, schur_reduce
+from graphpick.nevanlinna import representing_function
+from graphpick.ratfun import RatFun
+from oracles import (
+    at_random_points,
+    determinant_mod,
+    graph_matrix_mod,
+    inverse_entry_mod,
+    ratfun_mod,
+)
+
+
+def _path(rng, n):
+    colors = [rng.choice("zw") for _ in range(n)]
+    return ColoredGraph.build(colors, [(v, v + 1) for v in range(1, n)], rng.randint(1, n))
+
+
+def _tree(rng, n):
+    return random_colored_graph(rng, n, min_vertices=n, edge_prob=0.0, connected=True)
+
+
+def _comb(rng, n):
+    spine = ColoredGraph.build(["z"] * n, [(v, v + 1) for v in range(1, n)])
+    tooth = ColoredGraph.build(["z", "w", "z"], [(1, 2), (2, 3)])
+    return comb_product_z(spine, tooth)
+
+
+def _sparse(rng, n):
+    return random_colored_graph(rng, n, min_vertices=n, edge_prob=0.06, connected=True)
+
+
+def _retracted(rng, _n):
+    while True:
+        g, cut, pendant = random_retract_instance(rng, max_base=8, max_pendant=4)
+        reduced = retract(g, cut, pendant)
+        if reduced.n > 2:
+            return reduced
+
+
+def _zero_label(rng, n):
+    base = random_colored_graph(rng, n, min_vertices=n, edge_prob=0.5, connected=True)
+    zero = general_color(RatFun(0))
+    return ColoredGraph((Z_COLOR,) + (zero,) * (n - 1), base.edges, 1)
+
+
+FAMILIES = [
+    (_path, (12, 40)),
+    (_tree, (12, 28)),
+    (_comb, (4, 10)),
+    (_sparse, (14, 16, 18, 20)),
+    (_retracted, (0,) * 6),
+    (_zero_label, (4, 5, 6, 7)),
+]
+
+# Reducing a Schur complement's entries, and inverting it once they are
+# rational, spends seconds in gcds on larger graphs (schur_reduce on path40,
+# inverse_entry on a 2x2 complement of a 16-vertex sparse graph), so those
+# routes are checked on the smaller graphs only.
+SCHUR_MAX_N = 16
+SCHUR_INVERSE_MAX_N = 12
+ALL_PAIRS_MAX_N = 7
+
+
+def _agrees(rng, f, oracle):
+    """``f`` equals ``oracle(point)`` at random points mod p."""
+
+    def check(point):
+        assert ratfun_mod(f, point) == oracle(point)
+
+    at_random_points(rng, check)
+
+
+def _check_graph(rng, g):
+    n = g.n
+    m = colored_adjacency(g)
+    det = determinant(m)
+    _agrees(rng, det, lambda p: determinant_mod(graph_matrix_mod(g, p)))
+    if det.is_zero:
+        with pytest.raises(ValueError, match="singular colored matrix"):
+            inverse_entry(m, g.root)
+        return
+
+    def inverse_oracle(i, j):
+        return lambda p: inverse_entry_mod(graph_matrix_mod(g, p), i, j)
+
+    _agrees(rng, representing_function(g), inverse_oracle(g.root, g.root))
+    # every pair on small graphs, where zero labels can leave no Schur
+    # complement onto {i, j} and inverse_entry has to polarize
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for i, j in pairs if n <= ALL_PAIRS_MAX_N else [rng.sample(range(1, n + 1), 2)]:
+        _agrees(rng, inverse_entry(m, i, j), inverse_oracle(i, j))
+    if n > SCHUR_MAX_N:
+        return
+    keep = sorted({g.root, rng.randint(1, n)})
+    rest = [v for v in range(1, n + 1) if v not in keep]
+    try:
+        reduced = schur_reduce(m, keep)
+    except ValueError as exc:
+        assert "singular block" in str(exc)
+
+        def block_det(p):
+            a = graph_matrix_mod(g, p)
+            return determinant_mod([[a[r - 1][c - 1] for c in rest] for r in rest])
+
+        _agrees(rng, RatFun(0), block_det)
+        return
+    # the inverse of a Schur complement is the kept block of the inverse
+    a, b = rng.randint(1, len(keep)), rng.randint(1, len(keep))
+
+    def schur_entry(p):
+        mat = graph_matrix_mod(g, p)
+        block = [[inverse_entry_mod(mat, r, c) for c in keep] for r in keep]
+        return inverse_entry_mod(block, a, b)
+
+    _agrees(rng, reduced.entry(a, b), schur_entry)
+    if n <= SCHUR_INVERSE_MAX_N:
+        _agrees(rng, inverse_entry(reduced, a, b), inverse_oracle(keep[a - 1], keep[b - 1]))
+
+
+@pytest.mark.parametrize(
+    "family, sizes", FAMILIES, ids=[family.__name__.strip("_") for family, _ in FAMILIES]
+)
+def test_matrix_operations_match_modular_oracle(family, sizes):
+    rng = random.Random(f"modular-{family.__name__}")
+    for n in sizes:
+        _check_graph(rng, family(rng, n))
+
+
+def test_retract_keeps_the_root_value_mod_p():
+    rng = random.Random(31)
+    for _ in range(6):
+        g, cut, pendant = random_retract_instance(rng, max_base=8, max_pendant=4)
+        f = representing_function(retract(g, cut, pendant))
+        _agrees(rng, f, lambda p: inverse_entry_mod(graph_matrix_mod(g, p), g.root, g.root))

@@ -59,6 +59,41 @@ def test_power_and_neg():
     assert -(z - w) == w - z
 
 
+def test_power_equals_repeated_multiplication():
+    for p in (z - 1, 2 * z * w - lam + 3, z - w**2, one, Polynomial.zero()):
+        acc = one
+        for e in range(12):
+            assert p**e == acc
+            acc = acc * p
+    # the denominator z - 1 carries the sign of 1 - z; RatFun equality
+    # compares the canonical numerator and denominator
+    for f in (rf(z * w + 1, z - 2 * w), rf(-3 * lam, 1 - z), rf(0)):
+        acc = rf(1)
+        for e in range(8):
+            assert f**e == acc
+            if not f.is_zero:
+                assert f**-e == rf(1) / acc
+            acc = acc * f
+    with pytest.raises(ZeroDivisionError):
+        rf(0) ** -1
+
+
+def test_large_powers_are_fast():
+    start = time.perf_counter()
+    assert one ** 10**7 == one
+    assert rf(1) ** 10**6 == rf(1)
+    assert rf(-1, z) ** 10**6 == rf(1, z ** 10**6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_respects_the_exponent_cap():
+    assert z ** (2**20 - 1) == Polynomial.from_terms({(2**20 - 1, 0, 0): 1})
+    with pytest.raises(ValueError, match="product exceeds the supported monomial degree"):
+        z ** (2**20)
+    with pytest.raises(ValueError, match="product exceeds the supported monomial degree"):
+        rf(1, w) ** -(2**20)
+
+
 def test_exact_division_roundtrip():
     p = (z + w + 1) * (z * w - 3)
     assert p.exact_div(z + w + 1) == z * w - 3
