@@ -3,12 +3,41 @@
 Every matrix here is symmetric, and every operation is a thin wrapper
 around one routine, :func:`eliminate`: symmetric fraction-free (Bareiss)
 elimination of every index outside a ``keep`` set, in min-degree order,
-after denominators are cleared by a diagonal scaling D*A*D.  Every
-intermediate entry is a bordered minor, so every division is exact, and
-entries a step does not touch are rescaled lazily.  Where every eliminable
-diagonal entry is zero, two steps make up a 2x2 block pivot.  The
-determinant keeps no index, an inverse entry keeps its one or two indices,
-and a Schur complement keeps the requested block.
+after denominators are cleared by a diagonal scaling to a polynomial matrix
+B.  Every intermediate entry is a minor of B, so every division is exact,
+and entries a step does not touch are rescaled lazily.  Where every
+eliminable diagonal entry is zero, a congruence and the next two steps make
+up a 2x2 block pivot.  The determinant keeps no index, an inverse entry
+keeps its one or two indices, and a Schur complement keeps the requested
+block.
+
+The elimination runs on integers.  B is packed once by the Kronecker
+substitution z -> X = 2^s, w -> X^(D_z+1), lam -> X^((D_z+1)(D_w+1))
+(Harvey, JSC 2009); each product and exact division of polynomials then
+becomes one integer operation, and callers unpack only what they read.
+The substitution is one-to-one on every entry the loop makes, with both
+bounds taken from B before any arithmetic:
+
+* D_v, the sum over the rows of max_j deg_v(B_ij), bounds the v-degree of
+  every minor of B;
+* N, the product over the rows of max(1, sum_j |B_ij|_1), bounds the
+  1-norm of every minor (Bareiss, Math. Comp. 1968, for the minors).
+
+A block pivot adds row and column v to row and column u, then eliminates u
+and at once v.  A minor holding both u and v is unchanged by that, and one
+holding u alone is, by linearity in row and column u, a sum of at most four
+minors of B.  So every entry has degrees at most D_v and 1-norm at most 4N,
+and s >= bit_length(4N) + 2, rounded up to a multiple of 8 so that the
+balanced base-2^s digits of an image unpack from one byte string in linear
+time.  An entry is zero exactly when its image is, so the order, the block
+pivots and ``keep`` act as they do on polynomials.
+
+The image spans prod(D_v + 1) digits of s bits, and the loop runs on
+``Polynomial`` values instead when that box exceeds ``_DIGITS_PER_TERM``
+times the number of terms of B (sparse high-degree input, where most digits
+would be zero) or s exceeds ``_MAX_SLOT`` bits (large coefficients, where
+CPython's quadratic long division loses to term-by-term arithmetic).  Exact
+division is spelled ``//`` on both element types, so there is one loop.
 """
 
 from __future__ import annotations
@@ -23,6 +52,10 @@ _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
 _RF_ZERO = RatFun(0)
 _RF_ONE = RatFun(1)
+# Integer images are used while the box of digits they span is at most this
+# many digits per term of B, and their digits at most this many bits wide.
+_DIGITS_PER_TERM = 16
+_MAX_SLOT = 256
 
 
 class SymMatrix:
@@ -77,18 +110,51 @@ class SymMatrix:
         return tuple(tuple(self.entry(i, j) for j in self._rows) for i in self._rows)
 
 
+def _integer_image(b: dict[tuple[int, int], Polynomial]):
+    """``(pack, unpack)`` of a Kronecker substitution injective on the entries.
+
+    ``b`` holds the upper triangle of B.  Returns None when the image would
+    be mostly zero digits or its digits too wide; see the module docstring.
+    """
+    degrees: dict[int, list[int]] = {}
+    norms: dict[int, int] = {}
+    terms = 0
+    for (i, j), p in b.items():
+        terms += len(p)
+        pd, norm = p.max_degrees(), p.one_norm()
+        for r in {i, j}:
+            row = degrees.setdefault(r, [0, 0, 0])
+            row[:] = map(max, row, pd)
+            norms[r] = norms.get(r, 0) + norm
+    box = [sum(row[v] for row in degrees.values()) for v in range(3)]
+    if math.prod(d + 1 for d in box) > _DIGITS_PER_TERM * terms:
+        return None
+    # an entry is a sum of at most four minors of B
+    bound = 4 * math.prod(max(1, norm) for norm in norms.values())
+    slot = -(-(bound.bit_length() + 2) // 8) * 8
+    if slot > _MAX_SLOT:
+        return None
+    dz, dw, _ = box
+    return (
+        lambda p: p.to_kronecker(slot, dz, dw),
+        lambda x: Polynomial.from_kronecker(x, slot, dz, dw),
+    )
+
+
 def eliminate(m: SymMatrix, keep: Collection[int]):
     """Eliminate every index outside ``keep`` from a symmetric matrix.
 
     The matrix A is first scaled to the polynomial matrix B = D*A*D/c, with
     d_i the lcm of the denominators in row i and c the gcd of all d_i.
-    Returns ``(left, pivot, scale)``: ``pivot`` is the determinant of the
-    eliminated block of B, ``scale(i, j)`` is d_i*d_j/c, so that A_ij is
-    B_ij / scale(i, j), and ``left`` holds the nonzero fraction-free
+    Returns ``(left, pivot, scale, unpack)``: ``pivot`` is the determinant
+    of the eliminated block of B, ``scale(i, j)`` is d_i*d_j/c, so that A_ij
+    is B_ij / scale(i, j), and ``left`` holds the nonzero fraction-free
     entries among the indices not eliminated: the Schur complement entry
     (i, j) of A is ``left[i][j] / (pivot * scale(i, j))``.  Besides
     ``keep``, ``left`` holds eliminable indices only when the eliminable
     block is singular, and then its Schur complement is zero there.
+    ``pivot`` and the entries of ``left`` are images: ``unpack`` maps each
+    to its polynomial, and ``+``, ``-``, ``*`` and exact ``//`` act on them.
     """
     rows = m._rows
     dens = {
@@ -101,21 +167,35 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
     def scale(i: int, j: int) -> Polynomial:
         return dens[i] * cofactors[j]
 
+    b = {
+        (i, j): e.num * dens[i].exact_div(e.den) * cofactors[j]
+        for i, row in rows.items()
+        for j, e in row.items()
+        if j >= i
+    }
+    image = _integer_image(b)
+    if image is None:
+        one, unpack = _P_ONE, _identity
+    else:
+        pack, unpack = image
+        one = 1
+        b = {ij: pack(p) for ij, p in b.items()}
+
     # cell = [value, generation]; both triangles share one cell
     adj: dict[int, dict[int, list]] = {i: {} for i in rows}
-    pivots: list[Polynomial] = [_P_ONE]
+    pivots = [one]
 
-    def refresh(i: int, j: int, gen: int) -> Polynomial | None:
+    def refresh(i: int, j: int, gen: int):
         cell = adj[i].get(j)
         if cell is None:
             return None
         if cell[1] < gen:
-            cell[0] = (cell[0] * pivots[gen]).exact_div(pivots[cell[1]])
+            cell[0] = cell[0] * pivots[gen] // pivots[cell[1]]
             cell[1] = gen
         return cell[0]
 
-    def store(i: int, j: int, value: Polynomial, gen: int) -> None:
-        if value.is_zero:
+    def store(i: int, j: int, value, gen: int) -> None:
+        if not value:
             adj[i].pop(j, None)
             adj[j].pop(i, None)
         else:
@@ -123,29 +203,31 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
             adj[i][j] = cell
             adj[j][i] = cell
 
-    for i, row in rows.items():
-        for j, e in row.items():
-            if j >= i:
-                store(i, j, e.num * dens[i].exact_div(e.den) * cofactors[j], 0)
+    for (i, j), value in b.items():
+        store(i, j, value, 0)
 
+    partner = None
     while True:
         gen = len(pivots) - 1
         free = {v for v in adj if v not in keep}
-        candidates = [v for v in free if v in adj[v]]
+        candidates = [v for v in free if v in adj[v]] if partner is None else [partner]
+        partner = None
         if not candidates:
             # Add row and column v to row and column u, for eliminable u, v
             # with a_uv != 0.  This congruence keeps the Schur complement and
-            # sets a_uu = 2*a_uv; eliminating u, then v, pivots on the block.
+            # sets a_uu = 2*a_uv; eliminating u, then v (whose diagonal is
+            # then -a_uv^2/prev), pivots on the block.  The entry bounds of
+            # the module docstring need v to come right after u.
             pairs = [
                 (len(adj[u]) + len(adj[v]), u, v) for u in free for v in adj[u] if v in free
             ]
             if not pairs:
                 break
-            _, u, v = min(pairs)
-            for x in adj[v]:
+            _, u, partner = min(pairs)
+            for x in adj[partner]:
                 if x != u:
-                    store(u, x, (refresh(u, x, gen) or _P_ZERO) + refresh(v, x, gen), gen)
-            store(u, u, 2 * refresh(u, v, gen), gen)
+                    store(u, x, (refresh(u, x, gen) or 0) + refresh(partner, x, gen), gen)
+            store(u, u, 2 * refresh(u, partner, gen), gen)
             candidates = [u]
         v = min(candidates, key=lambda u: (len(adj[u]), u))
         pivot = refresh(v, v, gen)
@@ -159,9 +241,9 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
                 m_ij = refresh(i, j, gen)
                 fill = col_i * column[j]
                 if m_ij is None:
-                    new = (-fill).exact_div(prev)
+                    new = -fill // prev
                 else:
-                    new = (m_ij * pivot - fill).exact_div(prev)
+                    new = (m_ij * pivot - fill) // prev
                 store(i, j, new, gen + 1)
         for u in nbrs:
             del adj[u][v]
@@ -169,15 +251,21 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
 
     gen = len(pivots) - 1
     left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}
-    return left, pivots[-1], scale
+    return left, pivots[-1], scale, unpack
+
+
+def _identity(p: Polynomial) -> Polynomial:
+    return p
 
 
 def determinant(m: SymMatrix) -> RatFun:
     """Exact determinant; the zero rational function for singular input."""
-    left, pivot, scale = eliminate(m, ())
+    left, pivot, scale, unpack = eliminate(m, ())
     if left:
         return _RF_ZERO
-    return RatFun(pivot, math.prod((scale(i, i) for i in range(1, m.n + 1)), start=_P_ONE))
+    return RatFun(
+        unpack(pivot), math.prod((scale(i, i) for i in range(1, m.n + 1)), start=_P_ONE)
+    )
 
 
 def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
@@ -190,7 +278,7 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
     n = m.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"index ({i}, {j}) out of range for a {n}x{n} matrix")
-    left, pivot, scale = eliminate(m, {i, j})
+    left, pivot, scale, unpack = eliminate(m, {i, j})
     if i == j:
         if len(left) > 1:
             # The cofactor of (i, i) is singular, so by Jacobi's identity the
@@ -200,15 +288,13 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
             raise ValueError("singular colored matrix")
         if i not in left[i]:
             raise ValueError("singular colored matrix")
-        return RatFun(pivot * scale(i, i), left[i][i])
+        return RatFun(unpack(pivot) * scale(i, i), unpack(left[i][i]))
     if len(left) == 2:
-        a_ij = left[i].get(j, _P_ZERO)
-        a_ii = left[i].get(i, _P_ZERO)
-        a_jj = left[j].get(j, _P_ZERO)
-        det = (a_ii * a_jj - a_ij * a_ij).exact_div(pivot)
-        if det.is_zero:
+        a_ij = left[i].get(j, 0)
+        minor = left[i].get(i, 0) * left[j].get(j, 0) - a_ij * a_ij
+        if not minor:
             raise ValueError("singular colored matrix")
-        return RatFun(-a_ij * scale(i, j), det)
+        return RatFun(-unpack(a_ij) * scale(i, j), unpack(minor // pivot))
     # No Schur complement onto {i, j}.  Subtracting row and column j from
     # row and column i is a congruence after which the (j, j) inverse entry
     # is (e_i + e_j)^T A^-1 (e_i + e_j); polarize.
@@ -232,11 +318,16 @@ def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
         raise ValueError("keep set must not be empty")
     if ks[0] < 1 or ks[-1] > m.n:
         raise ValueError("keep set out of range")
-    left, pivot, scale = eliminate(m, ks)
+    left, pivot, scale, unpack = eliminate(m, ks)
     if len(left) > len(ks):
         raise ValueError("singular block in Schur reduction")
     at = {k: a for a, k in enumerate(ks, 1)}
+    pivot = unpack(pivot)
     return SymMatrix(
         len(ks),
-        {(at[i], at[j]): RatFun(e, pivot * scale(i, j)) for i in ks for j, e in left[i].items()},
+        {
+            (at[i], at[j]): RatFun(unpack(e), pivot * scale(i, j))
+            for i in ks
+            for j, e in left[i].items()
+        },
     )

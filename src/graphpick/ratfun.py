@@ -8,9 +8,17 @@ lexicographic tie-break of the graded-lex term order with z > w > lam.
 
 Exact division runs in plain packed-key (lexicographic) order: the quotient
 of an exact division is unique, so any monomial order gives the same result,
-and ``max`` over the keys is cheaper than the graded-lex key.  Graded-lex
-order stays where the output depends on it: ``terms()``, rendering and the
-sign of ``leading_coefficient``.
+and a plain integer key is cheaper to order than the graded-lex key.  The
+leading term of the remainder comes off a heap of its keys, so a quotient
+of many terms costs no more per term than one of few.  Graded-lex order
+stays where the output depends on it: ``terms()``, rendering and the sign
+of ``leading_coefficient``.
+
+``to_kronecker`` maps a polynomial to its integer image at z = X = 2^slot,
+w = X^(dz+1), lam = X^((dz+1)(dw+1)), and ``from_kronecker`` reads the
+polynomial back from the image's balanced base-2^slot digits.  The map is a ring
+homomorphism, one-to-one on polynomials whose degrees and coefficients fit
+the box and the slot, which is what lets ``linalg`` eliminate on integers.
 
 Rational functions are quotients of two polynomials kept in a canonical
 reduced form: numerator and denominator coprime, and the denominator's
@@ -34,6 +42,7 @@ point costs time, never a wrong answer.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from functools import reduce
@@ -80,12 +89,13 @@ def _grlex(key: int) -> tuple[int, int]:
 class Polynomial:
     """Integer-coefficient polynomial in z, w, lam with packed monomial keys."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_degrees")
 
     def __init__(self, terms: dict[int, int]):
         # terms maps packed monomial -> nonzero coefficient; not copied.
         self._terms = terms
         self._hash: int | None = None
+        self._degrees: tuple[int, int, int] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -147,16 +157,27 @@ class Polynomial:
         return max((k >> shift) & _MASK for k in self._terms)
 
     def max_degrees(self) -> tuple[int, int, int]:
-        dz = dw = dl = 0
-        for k in self._terms:
-            ez, ew, el = _unpack(k)
-            if ez > dz:
-                dz = ez
-            if ew > dw:
-                dw = ew
-            if el > dl:
-                dl = el
-        return dz, dw, dl
+        """Degrees in z, w and lam; cached, as a polynomial never changes."""
+        if self._degrees is None:
+            dz = dw = dl = 0
+            for k in self._terms:
+                ez, ew, el = _unpack(k)
+                if ez > dz:
+                    dz = ez
+                if ew > dw:
+                    dw = ew
+                if el > dl:
+                    dl = el
+            self._degrees = (dz, dw, dl)
+        return self._degrees
+
+    def one_norm(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._terms.values()))
+
+    def __len__(self) -> int:
+        """Number of terms."""
+        return len(self._terms)
 
     def leading_coefficient(self) -> int:
         if not self._terms:
@@ -226,8 +247,8 @@ class Polynomial:
         a, b = self._terms, o._terms
         if not a or not b:
             return _P_ZERO
-        da, db = self.max_degrees(), o.max_degrees()
-        if any(da[i] + db[i] >= _EXP_LIMIT for i in range(3)):
+        (az, aw, al), (bz, bw, bl) = self.max_degrees(), o.max_degrees()
+        if az + bz >= _EXP_LIMIT or aw + bw >= _EXP_LIMIT or al + bl >= _EXP_LIMIT:
             raise ValueError("product exceeds the supported monomial degree")
         if len(a) > len(b):
             a, b = b, a
@@ -274,13 +295,21 @@ class Polynomial:
                     raise ValueError("inexact polynomial division")
                 out[k] = q
             return Polynomial(out)
+        # The leading remainder key comes off a max-heap of negated keys
+        # (Monagan & Pearce 2007).  Every key pushed after a step is below the
+        # key just divided out, so a popped key that is no longer in ``rem``
+        # has cancelled and is skipped.
         rem = dict(self._terms)
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
         quot: dict[int, int] = {}
         dkey = max(d._terms)
         dlc = d._terms[dkey]
         dz, dw, dl = _unpack(dkey)
-        while rem:
-            rkey = max(rem)
+        while heap:
+            rkey = -heapq.heappop(heap)
+            if rkey not in rem:
+                continue
             ez, ew, el = _unpack(rkey)
             if ez < dz or ew < dw or el < dl:
                 raise ValueError("inexact polynomial division")
@@ -291,12 +320,19 @@ class Polynomial:
             quot[qkey] = q
             for k2, c2 in d._terms.items():
                 kk = qkey + k2
-                v = rem.get(kk, 0) - q * c2
-                if v:
-                    rem[kk] = v
-                elif kk in rem:
+                t = q * c2
+                old = rem.get(kk)
+                if old is None:
+                    rem[kk] = -t
+                    heapq.heappush(heap, -kk)
+                elif old == t:
                     del rem[kk]
+                else:
+                    rem[kk] = old - t
         return Polynomial(quot)
+
+    # exact division is the only division polynomials have
+    __floordiv__ = exact_div
 
     def divides(self, other: Polynomial) -> bool:
         try:
@@ -321,6 +357,55 @@ class Polynomial:
             e = (key >> shift) & _MASK
             buckets.setdefault(e, {})[key - (e << shift)] = c
         return {e: Polynomial(d) for e, d in buckets.items()}
+
+    # ------------------------------------------------------------------
+    # Kronecker images: z -> X = 2^slot, w -> X^(dz+1), lam -> X^((dz+1)(dw+1))
+
+    def to_kronecker(self, slot: int, dz: int, dw: int) -> int:
+        """The integer image; the inverse of ``from_kronecker``.
+
+        ``slot`` is a multiple of 8, every coefficient is below 2^(slot-1) in
+        absolute value, and the z- and w-degrees are at most dz and dw.
+        """
+        if not self._terms:
+            return 0
+        width = slot >> 3
+        rz, rzw = dz + 1, (dz + 1) * (dw + 1)
+        digits = {
+            (k >> 40) + rz * ((k >> 20) & _MASK) + rzw * (k & _MASK): c
+            for k, c in self._terms.items()
+        }
+        size = width * (max(digits) + 1)
+        pos, neg = bytearray(size), bytearray(size)
+        for e, c in digits.items():
+            (pos if c > 0 else neg)[e * width : (e + 1) * width] = abs(c).to_bytes(width, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    @classmethod
+    def from_kronecker(cls, value: int, slot: int, dz: int, dw: int) -> Polynomial:
+        """The polynomial whose ``to_kronecker`` image is ``value``.
+
+        Reads the balanced base-2^slot digits of ``value`` from one byte
+        string, so the cost is linear in its size.
+        """
+        width = slot >> 3
+        rz, rzw = dz + 1, (dz + 1) * (dw + 1)
+        half, full = 1 << (slot - 1), 1 << slot
+        sign = -1 if value < 0 else 1
+        value = abs(value)
+        # every digit is below 2^(slot-1), so nothing carries out of the top one
+        data = value.to_bytes(width * (value.bit_length() // slot + 1), "little")
+        out: dict[int, int] = {}
+        carry = 0
+        for e, at in enumerate(range(0, len(data), width)):
+            d = int.from_bytes(data[at : at + width], "little") + carry
+            carry = d >= half
+            if carry:
+                d -= full
+            if d:
+                ew, ez = divmod(e % rzw, rz)
+                out[_pack(ez, ew, e // rzw)] = sign * d
+        return cls(out)
 
     # ------------------------------------------------------------------
     # evaluation

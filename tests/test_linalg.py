@@ -1,10 +1,15 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
+from graphpick import linalg
+from graphpick.gen import random_colored_graph
+from graphpick.graphs import ColoredGraph, colored_adjacency, general_color
 from graphpick.linalg import SymMatrix, determinant, inverse_entry, schur_reduce
-from graphpick.ratfun import Polynomial, RatFun
+from graphpick.nevanlinna import representing_function
+from graphpick.ratfun import Polynomial, RatFun, parse_ratfun
 from oracles import cofactor_determinant, cofactor_inverse_entry
 
 z = Polynomial.variable("z")
@@ -300,3 +305,86 @@ def test_inverse_entry_matches_numeric_lu():
             want = np.linalg.solve(numeric, e1)[0]
             got = sym.num.evaluate(zz, ww) / sym.den.evaluate(zz, ww)
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
+# ----------------------------------------------------------------------
+# the integer and the polynomial element type of the elimination
+
+
+def _upper(m):
+    """The upper triangle of B for a matrix without denominators."""
+    n = m.n
+    return {
+        (i, j): m.entry(i, j).num for i in range(1, n + 1) for j in range(i, n + 1) if m.entry(i, j)
+    }
+
+
+def test_routing_between_integer_images_and_polynomials():
+    dense = colored_adjacency(
+        random_colored_graph(random.Random(3), 17, min_vertices=17, edge_prob=0.3, connected=True)
+    )
+    assert linalg._integer_image(_upper(dense)) is not None
+    # sparse and of high degree: the box would be mostly zero digits
+    path = SymMatrix.from_rows([[-(z**100000) - w, 1], [1, -(z**100000) - w]])
+    assert linalg._integer_image(_upper(path)) is None
+    # coefficients near 10^40 in every row: the digits would be too wide
+    heavy = SymMatrix.from_rows([[-z + 10**40, 1], [1, -w - 10**40]])
+    assert linalg._integer_image(_upper(heavy)) is None
+
+
+def test_sparse_high_degree_input_stays_fast():
+    color = general_color(parse_ratfun("z^100000 + w"))
+    g = ColoredGraph.build([color] * 4, [(1, 2), (2, 3), (3, 4)])
+    start = time.process_time()
+    f = representing_function(g)
+    assert time.process_time() - start < 1.0
+    assert str(f) == (
+        "(-z^300000 - 3*z^200000*w - 3*z^100000*w^2 + 2*z^100000 - w^3 + 2*w)/"
+        "(z^400000 + 4*z^300000*w + 6*z^200000*w^2 - 3*z^200000 + 4*z^100000*w^3"
+        " - 6*z^100000*w + w^4 - 3*w^2 + 1)"
+    )
+
+
+def _eliminated(m, keep):
+    left, pivot, _, unpack = linalg.eliminate(m, keep)
+    return unpack(pivot), {i: {j: unpack(e) for j, e in row.items()} for i, row in left.items()}
+
+
+def test_integer_images_match_polynomials(monkeypatch):
+    """Both element types eliminate alike, block pivots and lam included."""
+    rng = random.Random(77)
+
+    def poly():
+        return Polynomial.from_terms(
+            {
+                (rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1)): rng.choice((-1, 1))
+                * rng.choice((1, 2, 3, 10**12))
+                for _ in range(rng.randint(1, 3))
+            }
+        )
+
+    blocks = 0
+    for trial in range(100):
+        n = rng.randint(2, 6)
+        entries = {}
+        for a in range(1, n + 1):
+            if rng.random() < 0.3:
+                entries[a, a] = RatFun(poly(), z + 1 if rng.random() < 0.1 else 1)
+            for b in range(a + 1, n + 1):
+                if rng.random() < 0.6:
+                    entries[a, b] = entries[b, a] = RatFun(poly() if rng.random() < 0.3 else 1)
+        m = SymMatrix(n, entries)
+        keep = {v for v in range(1, n + 1) if rng.random() < 0.25}
+        results = []
+        for limit in (0, 10**9):
+            monkeypatch.setattr(linalg, "_DIGITS_PER_TERM", limit)
+            monkeypatch.setattr(linalg, "_MAX_SLOT", limit)
+            results.append(_eliminated(m, keep))
+        assert results[0] == results[1], trial
+        # every eliminable diagonal entry zero, two of them adjacent: the
+        # first step is a block pivot
+        free = [a for a in range(1, n + 1) if a not in keep]
+        blocks += all((a, a) not in entries for a in free) and any(
+            (a, b) in entries for a in free for b in free if a != b
+        )
+    assert blocks > 15

@@ -9,19 +9,24 @@ import random
 
 import pytest
 
+from graphpick import linalg
 from graphpick.gen import random_colored_graph, random_retract_instance
 from graphpick.graphs import (
     Z_COLOR,
     ColoredGraph,
     colored_adjacency,
     comb_product_z,
+    _renumber,
     general_color,
     retract,
+    star_product,
 )
 from graphpick.linalg import determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
-from graphpick.ratfun import RatFun
+from graphpick.ratfun import LAM, RatFun, W, Z
 from oracles import (
+    PRIME,
+    Unlucky,
     at_random_points,
     determinant_mod,
     graph_matrix_mod,
@@ -63,11 +68,34 @@ def _zero_label(rng, n):
     return ColoredGraph((Z_COLOR,) + (zero,) * (n - 1), base.edges, 1)
 
 
+def _dense(rng, n):
+    return random_colored_graph(rng, n, min_vertices=n, edge_prob=0.3, connected=True)
+
+
+def _heavy_weights(rng, n):
+    """Zero labels next to polynomial weights near 10^40, some with lam.
+
+    Zero and constant labels leave every eliminable diagonal entry zero at
+    some step, so the elimination has to pivot on a 2x2 block.
+    """
+    base = random_colored_graph(rng, n, min_vertices=n, edge_prob=0.5, connected=True)
+
+    def weight():
+        big = rng.choice((-1, 1)) * rng.randint(10**39, 10**41)
+        return rng.choice(
+            (RatFun(0), RatFun(0), RatFun(big), big * LAM + 1, Z * W - big, LAM - big * W)
+        )
+
+    colors = (Z_COLOR,) + tuple(general_color(weight()) for _ in range(n - 1))
+    return ColoredGraph(colors, base.edges, 1)
+
+
 FAMILIES = [
     (_path, (12, 40)),
     (_tree, (12, 28)),
     (_comb, (4, 10)),
     (_sparse, (14, 16, 18, 20)),
+    (_dense, (22, 25, 28)),
     (_retracted, (0,) * 6),
     (_zero_label, (4, 5, 6, 7)),
 ]
@@ -146,9 +174,80 @@ def test_matrix_operations_match_modular_oracle(family, sizes):
         _check_graph(rng, family(rng, n))
 
 
+@pytest.mark.parametrize("route", ["routed", "integer"])
+def test_heavy_weights_match_modular_oracle(route, monkeypatch):
+    # Weights this large take the polynomial route unless it is overridden.
+    # Only determinants are checked, which need no gcd here: reducing an
+    # inverse entry of such a graph can spend minutes in the subresultant gcd.
+    if route == "integer":
+        monkeypatch.setattr(linalg, "_DIGITS_PER_TERM", 10**9)
+        monkeypatch.setattr(linalg, "_MAX_SLOT", 10**9)
+    rng = random.Random("modular-heavy-weights")
+    for n in (4, 5, 6, 8, 10):
+        g = _heavy_weights(rng, n)
+        for k in (None, 1, rng.randint(2, n)):
+            order = [v for v in range(1, n + 1) if v != k]
+            sub = _renumber(g, order, order[0])
+            det = determinant(colored_adjacency(sub))
+            _agrees(rng, det, lambda p, sub=sub: determinant_mod(graph_matrix_mod(sub, p)))
+
+
 def test_retract_keeps_the_root_value_mod_p():
     rng = random.Random(31)
     for _ in range(6):
         g, cut, pendant = random_retract_instance(rng, max_base=8, max_pendant=4)
         f = representing_function(retract(g, cut, pendant))
         _agrees(rng, f, lambda p: inverse_entry_mod(graph_matrix_mod(g, p), g.root, g.root))
+
+
+# ----------------------------------------------------------------------
+# the product identities, on graphs far beyond the cofactor oracles
+
+
+def _inverse(x):
+    if not x % PRIME:
+        raise Unlucky
+    return pow(x, -1, PRIME)
+
+
+def _root_value(g, point):
+    return inverse_entry_mod(graph_matrix_mod(g, point), g.root, g.root)
+
+
+def test_star_identity_mod_p():
+    """1/f of a star product is 1/f_g + 1/f_h plus the shared root's label."""
+    rng = random.Random(47)
+    for ng, nh in ((10, 10), (12, 11), (14, 13)):
+        g = _dense(rng, ng)
+        h = _dense(rng, nh)
+        shared = g.color(g.root)
+        colors = list(h.colors)
+        colors[h.root - 1] = shared
+        h = ColoredGraph(tuple(colors), h.edges, h.root)
+        product = star_product(g, h)
+        assert product.n == ng + nh - 1
+        label = 0 if shared == Z_COLOR else 1
+
+        def star(point, g=g, h=h, label=label):
+            total = _inverse(_root_value(g, point)) + _inverse(_root_value(h, point))
+            return _inverse(total + point[label])
+
+        _agrees(rng, representing_function(product), star)
+
+
+def test_comb_identity_mod_p():
+    """A z-comb composes in the z slot: f(z, w) = f_g(-1/f_h(z, w), w)."""
+    rng = random.Random(53)
+    for ng, nh in ((10, 3), (12, 3), (10, 4)):
+        g = _dense(rng, ng)
+        h = _dense(rng, nh)
+        colors = list(h.colors)
+        colors[h.root - 1] = Z_COLOR
+        h = ColoredGraph(tuple(colors), h.edges, h.root)
+        product = comb_product_z(g, h)
+
+        def comb(point, g=g, h=h):
+            z = -_inverse(_root_value(h, point)) % PRIME
+            return _root_value(g, (z,) + point[1:])
+
+        _agrees(rng, representing_function(product), comb)

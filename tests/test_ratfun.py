@@ -336,6 +336,73 @@ def test_inexact_division_stops_early():
             dividend.exact_div(divisor)
 
 
+def test_long_exact_quotient_is_fast():
+    # the leading remainder term comes off a heap, not a scan of the remainder
+    q = Polynomial.from_terms({(e, 0, 0): 1 for e in range(1, 8001)})
+    d = w + 1
+    p = q * d
+    start = time.perf_counter()
+    assert p.exact_div(d) == q
+    assert p // d == q
+    assert time.perf_counter() - start < 0.5
+
+
+def test_max_degrees_are_cached():
+    p = z**3 * w + lam**2
+    assert p.max_degrees() == (3, 1, 2)
+    assert p.max_degrees() is p.max_degrees()
+    assert Polynomial.zero().max_degrees() == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# Kronecker images
+
+
+def test_kronecker_layout():
+    # z -> X = 2^8, w -> X^(dz+1) = X^2, lam -> X^((dz+1)(dw+1)) = X^4
+    assert (z + 3 * w * lam - 1).to_kronecker(8, 1, 1) == 2**8 + 3 * 2**48 - 1
+    assert Polynomial.zero().to_kronecker(8, 0, 0) == 0
+    assert Polynomial.from_kronecker(0, 8, 0, 0) == Polynomial.zero()
+    assert Polynomial.from_kronecker(2**8 - 1, 8, 1, 1) == z - 1
+
+
+@st.composite
+def kronecker_cases(draw):
+    slot = 8 * draw(st.integers(1, 9))
+    top = (1 << (slot - 1)) - 1
+    dz, dw, dl = (draw(st.integers(0, 4)) for _ in range(3))
+    coefficients = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 1, -1]))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, dz), st.integers(0, dw), st.integers(0, dl)),
+            coefficients,
+            max_size=12,
+        )
+    )
+    return Polynomial.from_terms(terms), slot, dz, dw
+
+
+@settings(max_examples=100, deadline=None)
+@given(kronecker_cases(), kronecker_cases())
+def test_kronecker_round_trip(case, other):
+    p, slot, dz, dw = case
+    image = p.to_kronecker(slot, dz, dw)
+    assert Polynomial.from_kronecker(image, slot, dz, dw) == p
+    assert Polynomial.from_kronecker(-image, slot, dz, dw) == -p
+    # the image is the value at one point, so it respects sums and products
+    q = other[0]
+    if p.is_zero or q.is_zero:
+        return
+    size = p.one_norm() * q.one_norm()
+    (pz, pw, pl), (qz, qw, ql) = p.max_degrees(), q.max_degrees()
+    slot = 8 * ((size.bit_length() + 9) // 8)
+    dz, dw = pz + qz, pw + qw
+    image = p.to_kronecker(slot, dz, dw) * q.to_kronecker(slot, dz, dw)
+    assert Polynomial.from_kronecker(image, slot, dz, dw) == p * q
+    image = p.to_kronecker(slot, dz, dw) - q.to_kronecker(slot, dz, dw)
+    assert Polynomial.from_kronecker(image, slot, dz, dw) == p - q
+
+
 # ----------------------------------------------------------------------
 # rational functions
 
