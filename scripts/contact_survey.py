@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Survey contact order against graph distance on random single-w graphs."""
+"""Survey contact order against graph distance on random single-w graphs.
+
+Exits 1 when any graph's contact order is not twice its distance.
+"""
 
 import argparse
 import random
+import sys
 from collections import Counter
 
 from graphpick.gen import random_single_w_graph
 from graphpick.laurent import verify_contact_theorem
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--max-vertices", type=int, default=8)
@@ -34,7 +38,8 @@ def main() -> None:
     for d in sorted(by_distance):
         print(f"  distance {d}: {by_distance[d]} graphs, contact order {2 * d}")
     print(f"mismatches: {mismatches}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

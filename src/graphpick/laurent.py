@@ -60,12 +60,12 @@ class LaurentSeries:
         for idx, c in enumerate(self.coefficients):
             if c.is_zero:
                 continue
-            if c.den == Polynomial.one() and len(c.num.terms()) <= 1:
-                ctext = str(c.num)
-            elif c.den == Polynomial.one():
-                ctext = f"({c.num})"
-            else:
+            if c.den != _P_ONE:
                 ctext = str(c)
+            elif len(c.num) <= 1:
+                ctext = str(c.num)
+            else:
+                ctext = f"({c.num})"
             zk = power(self.start_order + idx)
             term = f"{ctext}*{zk}" if zk else ctext
             if not parts:
@@ -160,6 +160,19 @@ def first_nonzero_order(s: LaurentSeries) -> int:
     raise ValueError("order exceeds truncation")
 
 
+def _w_coefficients(f: RatFun) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
+    """(alpha, beta, gamma, delta) with f = (alpha + beta*w)/(gamma + delta*w)."""
+    if f.degree("lam") > 0:
+        raise ValueError("input already depends on lam")
+    if f.num.degree("w") > 1 or f.den.degree("w") > 1:
+        raise ValueError("multiple w-vertices unsupported")
+    top, bottom = f.num.coefficients("w"), f.den.coefficients("w")
+    beta, delta = top.get(1, _P_ZERO), bottom.get(1, _P_ZERO)
+    if beta.is_zero and delta.is_zero:
+        raise ValueError("cannot solve for w: the level-curve denominator vanishes")
+    return top.get(0, _P_ZERO), beta, bottom.get(0, _P_ZERO), delta
+
+
 def level_curve(f: RatFun) -> RatFun:
     """Solve f(z, w) = lam for w when f has degree one in w.
 
@@ -167,36 +180,24 @@ def level_curve(f: RatFun) -> RatFun:
     (lam*gamma - alpha)/(beta - lam*delta), a rational function of z and
     lam whose back-substitution into f returns exactly lam.
     """
-    if f.degree("lam") > 0:
-        raise ValueError("input already depends on lam")
-    if f.num.degree("w") > 1 or f.den.degree("w") > 1:
-        raise ValueError("multiple w-vertices unsupported")
-    top, bottom = f.num.coefficients("w"), f.den.coefficients("w")
-    alpha, beta = top.get(0, _P_ZERO), top.get(1, _P_ZERO)
-    gamma, delta = bottom.get(0, _P_ZERO), bottom.get(1, _P_ZERO)
+    alpha, beta, gamma, delta = _w_coefficients(f)
     lam_p = Polynomial.variable("lam")
-    den = beta - lam_p * delta
-    if den.is_zero:
-        raise ValueError("cannot solve for w: the level-curve denominator vanishes")
-    return RatFun(lam_p * gamma - alpha, den)
+    return RatFun(lam_p * gamma - alpha, beta - lam_p * delta)
 
 
 def contact_order(f: RatFun) -> int:
     """Order at infinity of the first lam-dependent level-curve coefficient.
 
-    This is the order of vanishing of the difference of level curves for
-    two parameter values.  The expansion is truncated past twice the
-    z-degree of the denominator, which is beyond the reach of any single
-    w-vertex graph.
+    It is where L(l1) and L(l2), for independent l1, l2, first differ: the
+    order at infinity of L(l1) - L(l2) = (l1 - l2)(beta*gamma - alpha*delta)
+    / ((beta - l1*delta)(beta - l2*delta)), in which each beta - l*delta has
+    z-degree max(deg beta, deg delta).  The numerator is nonzero: with beta
+    or delta zero it is a product of nonzero polynomials, else num*delta =
+    beta*den would make the reduced numerator, of w-degree one, divide beta.
     """
-    curve = level_curve(f)
-    bound = 2 * f.den.degree("z") + 4
-    series = expand_at_infinity(curve, bound)
-    for idx, c in enumerate(series.coefficients):
-        # a reduced quotient depends on lam exactly when lam appears in it
-        if c.degree("lam") > 0:
-            return series.start_order + idx
-    raise ValueError("contact order exceeds bound")
+    alpha, beta, gamma, delta = _w_coefficients(f)
+    cross = beta * gamma - alpha * delta
+    return 2 * max(beta.degree("z"), delta.degree("z")) - cross.degree("z")
 
 
 @dataclass(frozen=True)

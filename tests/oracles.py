@@ -1,4 +1,4 @@
-"""Independent oracles for the linear algebra in graphpick.
+"""Independent oracles for the linear algebra and the contact order in graphpick.
 
 These share no code with :mod:`graphpick.linalg`.  The exact oracles take
 determinants by recursive cofactor expansion and inverse entries from the
@@ -10,11 +10,14 @@ oracles evaluate a matrix exactly at a random point modulo the prime
 2^61 - 1 and solve it there by Gaussian elimination; comparing a symbolic
 result with them at a few points is an identity test with no tolerance
 (Schwartz-Zippel) that stays fast on graphs far beyond the cofactor oracles.
+``contact_order_oracle`` reads the contact order off the level curve's
+series at infinity instead of the closed-form degree count.
 """
 
 import numpy as np
 
 from graphpick.graphs import ColoredGraph
+from graphpick.laurent import expand_at_infinity, level_curve
 from graphpick.numcheck import eval_complex
 from graphpick.ratfun import Polynomial, RatFun
 
@@ -67,6 +70,20 @@ def resolvent_oracle(g: ColoredGraph, k: int, z: complex, w: complex) -> complex
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"numerically singular colored matrix: {exc}") from exc
     return complex(x[k - 1])
+
+
+def contact_order_oracle(f: RatFun, order: int = 40) -> int:
+    """Contact order read off the level curve's expansion at infinity.
+
+    It is the order of the first lam-dependent coefficient, searched up to
+    z^-order.
+    """
+    series = expand_at_infinity(level_curve(f), order)
+    for idx, c in enumerate(series.coefficients):
+        # a reduced quotient depends on lam exactly when lam appears in it
+        if c.degree("lam") > 0:
+            return series.start_order + idx
+    raise ValueError(f"no lam-dependent coefficient up to z^-{order}")
 
 
 # ----------------------------------------------------------------------

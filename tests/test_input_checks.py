@@ -3,12 +3,13 @@
 import pytest
 
 from graphpick.graphs import ColoredGraph, distance, retract
-from graphpick.laurent import level_curve, walk_generating_series
+from graphpick.laurent import contact_order, level_curve, walk_generating_series
 from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
 from graphpick.ratfun import LAM, Polynomial, RatFun
 from graphpick.sticks import stick_recurrence, stick_series_coefficients
 
 z = Polynomial.variable("z")
+w = Polynomial.variable("w")
 PATH3 = ColoredGraph.build(["z", "z", "z"], [(1, 2), (2, 3)])
 IDENTITY2 = SymMatrix.identity(2)
 
@@ -28,6 +29,9 @@ IDENTITY2 = SymMatrix.identity(2)
         (lambda: schur_reduce(IDENTITY2, [1, 3]), ValueError, "keep set out of range"),
         (lambda: walk_generating_series(PATH3, 1, 4, 5), ValueError, "vertex out of range"),
         (lambda: level_curve(LAM), ValueError, "already depends on lam"),
+        (lambda: contact_order(LAM), ValueError, "already depends on lam"),
+        (lambda: contact_order(RatFun(w * w, z)), ValueError, "multiple w-vertices unsupported"),
+        (lambda: contact_order(RatFun(1, z)), ValueError, "cannot solve for w"),
         (lambda: retract(PATH3, 4, [3]), ValueError, "cut vertex 4 out of range"),
         (lambda: retract(PATH3, 2, [5]), ValueError, "subgraph vertex 5 out of range"),
         (lambda: distance(PATH3, 0, 1), ValueError, "vertex out of range"),
@@ -47,6 +51,9 @@ IDENTITY2 = SymMatrix.identity(2)
         "schur-keep-range",
         "walk-vertex",
         "level-curve-lam",
+        "contact-order-lam",
+        "contact-order-w-degree",
+        "contact-order-w-free",
         "retract-cut",
         "retract-subgraph",
         "distance-vertex",

@@ -14,7 +14,9 @@ from graphpick.laurent import (
     walk_generating_series,
 )
 from graphpick.nevanlinna import representing_function
-from graphpick.ratfun import LAM, Polynomial, RatFun
+from graphpick.ratfun import LAM, Polynomial, RatFun, parse_ratfun
+
+from oracles import contact_order_oracle
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -260,6 +262,50 @@ def test_contact_order_examples():
     assert contact_order(edge) == 2
     w_root = representing_function(ColoredGraph.build(["w", "z"], [(1, 2)], 1))
     assert contact_order(w_root) == 0
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("w/z^5", -5),
+        # orders above twice the z-degree of the denominator
+        ("-2*z^5*w + 3*z^5", 5),
+        ("(z^4*w - 2*z*w + z - 1)/(2*w)", 7),
+    ],
+)
+def test_contact_order_pinned(text, order):
+    f = parse_ratfun(text)
+    assert contact_order(f) == order == contact_order_oracle(f)
+
+
+def test_contact_order_matches_series_oracle_on_graphs():
+    rng = random.Random(2410)
+    for _ in range(30):
+        f = representing_function(random_single_w_graph(rng, 12))
+        assert contact_order(f) == contact_order_oracle(f)
+
+
+def test_contact_order_matches_series_oracle_on_w_linear_functions():
+    rng = random.Random(10695)
+
+    def rand_poly():
+        if rng.random() < 0.15:
+            return Polynomial.zero()
+        degree = rng.randint(0, 6)
+        return Polynomial.from_terms({(e, 0, 0): rng.randint(-3, 3) for e in range(degree + 1)})
+
+    checked = 0
+    for _ in range(120):
+        alpha, beta, gamma, delta = (rand_poly() for _ in range(4))
+        den = gamma + delta * w
+        f = rf(alpha + beta * w, den if den else 1)
+        if f.degree("w") == 0:
+            with pytest.raises(ValueError, match="cannot solve for w"):
+                contact_order(f)
+            continue
+        assert contact_order(f) == contact_order_oracle(f), str(f)
+        checked += 1
+    assert checked > 80
 
 
 def test_verify_contact_theorem_examples():
