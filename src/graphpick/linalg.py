@@ -46,15 +46,15 @@ import math
 from functools import reduce
 from typing import Collection, Iterable, Sequence
 
-from .ratfun import Polynomial, RatFun, poly_gcd, poly_lcm
+from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, poly_gcd, poly_lcm
 
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
 _RF_ZERO = RatFun(0)
 _RF_ONE = RatFun(1)
-# Integer images are used while the box of digits they span is at most this
-# many digits per term of B, and their digits at most this many bits wide.
-_DIGITS_PER_TERM = 16
+# Integer images are used while the box of digits they span is at most
+# _DIGITS_PER_TERM digits per term of B, and their digits at most this many
+# bits wide.
 _MAX_SLOT = 256
 
 
@@ -167,8 +167,10 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
     def scale(i: int, j: int) -> Polynomial:
         return dens[i] * cofactors[j]
 
+    # with no denominators B is the matrix of numerators
+    unit = all(d is _P_ONE for d in dens.values())
     b = {
-        (i, j): e.num * dens[i].exact_div(e.den) * cofactors[j]
+        (i, j): e.num if unit else e.num * dens[i].exact_div(e.den) * cofactors[j]
         for i, row in rows.items()
         for j, e in row.items()
         if j >= i

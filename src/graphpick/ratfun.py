@@ -25,19 +25,31 @@ reduced form: numerator and denominator coprime, and the denominator's
 leading coefficient positive under the term order.  Equality is therefore
 plain structural comparison of the reduced pairs.
 
-Most gcds taken while reducing are 1, so ``_gcd_full`` first tries to prove
-that (Brown, JACM 1971).  For each variable v occurring in both operands a
-and b, it maps both to univariate images in v, the other two variables fixed
-at constants, modulo the prime p = 2^61 - 1.  A common factor g of positive
-degree in v has a leading coefficient in v dividing lc_v(a) and lc_v(b), so
-when either image keeps its full v-degree, g's image keeps its positive
-degree and divides both images: a constant gcd of the images rules g out.
-Every nonconstant common factor has positive degree in some variable that
-occurs in both operands, and a common integer factor divides both contents,
-so a content gcd of 1 and a constant image gcd for each shared variable
-prove the gcd is 1.  Any failed condition (a dropped degree, a zero image, a
-nonconstant image gcd) falls back to the full subresultant gcd: an unlucky
-point costs time, never a wrong answer.
+Every reduction takes its gcd by the heuristic GCDHEU (Char, Geddes &
+Gonnet, JSC 1989; Geddes, Czapor & Labahn, *Algorithms for Computer
+Algebra*, ch. 7), which ``_gcd_heu`` runs one variable at a time:
+
+* Content split: the integer content both operands share and each
+  operand's monomial content (its smallest exponents) come off, and the
+  shared content times the gcd of the two monomials is multiplied back at
+  the end.  What is left of an operand is divisible by no variable, so
+  taking each monomial content off alone loses no common factor.  An
+  operand's own integer content stays, because it can hold the image of a
+  common factor: w + 1 becomes the integer xi + 1 once w is set to xi.
+* Choice of xi: the last variable v present (lam, then w, then z) is set
+  to xi = 2*min(|a|, |b|) + 2, with |.| the largest coefficient in absolute
+  value, and the gcd of the two images is taken by the same route.
+* Lift: the image gcd is read back xi-adically, each coefficient split
+  into symmetric base-xi digits that become the coefficients of the powers
+  of v, and its integer content is divided out.
+* Acceptance: the lift is returned only when it divides both operands
+  exactly.  With xi at least that bound, a lift that divides both is
+  their gcd, so an unlucky xi costs time, never a wrong answer.
+* Retries: up to ``_HEU_TRIES`` values of xi, each the last times
+  73794/27011, are tried before the subresultant gcd ``_gcd_rec`` answers.
+* Sparse rule: when the lower of the two v-degrees, plus 1, exceeds
+  ``_DIGITS_PER_TERM`` times the operands' term count, both images would
+  be mostly zero digits, so ``_gcd_rec`` answers at once.
 """
 
 from __future__ import annotations
@@ -66,6 +78,9 @@ _SHIFTS = (40, 20, 0)
 _MASK = 0xFFFFF
 _EXP_LIMIT = 1 << 20
 _LATEX_NAMES = ("z", "w", "\\lambda")
+# A dense image (a Kronecker image in ``linalg``, an evaluation in the
+# heuristic gcd) is used while it spans at most this many digits per term.
+_DIGITS_PER_TERM = 16
 
 
 def _pack(ez: int, ew: int, el: int) -> int:
@@ -512,6 +527,7 @@ def _normalize_content_sign(p: Polynomial) -> Polynomial:
 # multivariate gcd: contents stripped recursively, then a subresultant
 # polynomial remainder sequence (Collins 1967; Brown & Traub 1971) in the
 # first of z, w, lam present, run on the packed polynomials themselves.
+# It is the heuristic gcd's fallback.
 
 
 def _prem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
@@ -531,16 +547,22 @@ def _prem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
     return r
 
 
-def _monomial_gcd(mono: Polynomial, other: Polynomial) -> Polynomial:
-    (mkey,) = mono._terms
-    mc = abs(mono._terms[mkey])
-    ez, ew, el = _unpack(mkey)
-    g = 0
-    for key, c in other._terms.items():
-        oz, ow, ol = _unpack(key)
-        ez, ew, el = min(ez, oz), min(ew, ow), min(el, ol)
-        g = math.gcd(g, c)
-    return Polynomial({_pack(ez, ew, el): math.gcd(mc, g)})
+def _monomial_content(p: Polynomial) -> int:
+    """Packed key of the largest monomial dividing the nonzero p."""
+    keys = p._terms
+    if 0 in keys:
+        return 0
+    return _pack(
+        min(k >> 40 for k in keys),
+        min((k >> 20) & _MASK for k in keys),
+        min(k & _MASK for k in keys),
+    )
+
+
+def _min_key(k1: int, k2: int) -> int:
+    """Packed key of the gcd of two monomials."""
+    (z1, w1, l1), (z2, w2, l2) = _unpack(k1), _unpack(k2)
+    return _pack(min(z1, z2), min(w1, w2), min(l1, l2))
 
 
 def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -550,10 +572,9 @@ def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
     var = next((v for v, ea, eb in zip(VARIABLES, da, db) if ea or eb), None)
     if var is None:
         return Polynomial.integer(math.gcd(a._terms[0], b._terms[0]))
-    if len(a._terms) == 1:
-        return _monomial_gcd(a, b)
-    if len(b._terms) == 1:
-        return _monomial_gcd(b, a)
+    if len(a._terms) == 1 or len(b._terms) == 1:
+        key = _min_key(_monomial_content(a), _monomial_content(b))
+        return Polynomial({key: math.gcd(a.content(), b.content())})
 
     ca = reduce(_gcd_rec, a.coefficients(var).values())
     cb = reduce(_gcd_rec, b.coefficients(var).values())
@@ -581,74 +602,76 @@ def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 # ----------------------------------------------------------------------
-# coprimality test by univariate images modulo a prime; the proof is in
-# the module docstring
+# heuristic gcd; the route is in the module docstring
 
-_PRIME = (1 << 61) - 1
-# Fixed values of (z, w, lam) for the images; no rng, so runs are repeatable.
-_POINT = (1_201_495_339_431_861_837, 652_843_192_457_880_719, 1_937_120_667_408_023_491)
+_HEU_TRIES = 6
 
 
-def _image(p: Polynomial, vi: int, powers: list[list[int]]) -> list[int]:
-    """Coefficients of p mod _PRIME in variable vi, lowest first, others at _POINT."""
-    shift = _SHIFTS[vi]
-    (i, si), (j, sj) = [(k, _SHIFTS[k]) for k in range(3) if k != vi]
-    pi, pj = powers[i], powers[j]
-    out = [0] * (p.degree(VARIABLES[vi]) + 1)
-    for key, c in p._terms.items():
-        out[(key >> shift) & _MASK] += c * pi[(key >> si) & _MASK] * pj[(key >> sj) & _MASK]
-    out = [c % _PRIME for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _evaluate(p: Polynomial, shift: int, xi: int) -> Polynomial:
+    """p with the variable at ``shift`` set to xi."""
+    powers = {e: xi**e for e in {(k >> shift) & _MASK for k in p._terms}}
+    out: dict[int, int] = {}
+    for k, c in p._terms.items():
+        e = (k >> shift) & _MASK
+        kk = k - (e << shift)
+        out[kk] = out.get(kk, 0) + c * powers[e]
+    return Polynomial({k: c for k, c in out.items() if c})
 
 
-def _gcd_mod_is_constant(f: list[int], g: list[int]) -> bool:
-    """Euclid over GF(_PRIME) on coefficient lists, lowest first, not both zero."""
-    while g:
-        inv = pow(g[-1], -1, _PRIME)
-        f = f[:]
-        while len(f) >= len(g):
-            q = f[-1] * inv % _PRIME
-            off = len(f) - len(g)
-            for k in range(len(g) - 1):
-                f[off + k] = (f[off + k] - q * g[k]) % _PRIME
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return len(f) == 1
+def _lift(g: Polynomial, shift: int, xi: int) -> Polynomial:
+    """The primitive part of g read back xi-adically, with symmetric digits."""
+    half = xi // 2
+    out: dict[int, int] = {}
+    for k, c in g._terms.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[k + (e << shift)] = d
+            c = (c - d) // xi
+            e += 1
+    return _normalize_content_sign(Polynomial(out))
 
 
-def _coprime(a: Polynomial, b: Polynomial) -> bool:
-    """True only when a and b are nonzero and provably have gcd 1."""
-    if a.is_zero or b.is_zero or math.gcd(a.content(), b.content()) != 1:
-        return False
+def _gcd_heu(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd(a, b) of nonzero polynomials over the integers, up to sign."""
+    c = math.gcd(a.content(), b.content())
+    ka, kb = _monomial_content(a), _monomial_content(b)
+    mono = Polynomial({_min_key(ka, kb): c})
+    if c != 1 or ka:
+        a = Polynomial({k - ka: v // c for k, v in a._terms.items()})
+    if c != 1 or kb:
+        b = Polynomial({k - kb: v // c for k, v in b._terms.items()})
+    if a.is_constant or b.is_constant:
+        return mono
+    if a._terms == b._terms:
+        return mono * a
     da, db = a.max_degrees(), b.max_degrees()
-    powers = []
-    for vi in range(3):
-        row = [1]
-        for _ in range(max(da[vi], db[vi])):
-            row.append(row[-1] * _POINT[vi] % _PRIME)
-        powers.append(row)
-    for vi in range(3):
-        if not (da[vi] and db[vi]):
-            continue
-        fa, fb = _image(a, vi, powers), _image(b, vi, powers)
-        # a zero image fails one of these: either both images dropped their
-        # degree, or the gcd is the other image, of positive degree
-        if len(fa) <= da[vi] and len(fb) <= db[vi]:
-            return False
-        if not _gcd_mod_is_constant(fa, fb):
-            return False
-    return True
+    vi = 2 if da[2] or db[2] else 1 if da[1] or db[1] else 0
+    if min(da[vi], db[vi]) + 1 > _DIGITS_PER_TERM * (len(a) + len(b)):
+        return mono * _gcd_rec(a, b)
+    shift = _SHIFTS[vi]
+    xi = 2 * min(max(map(abs, a._terms.values())), max(map(abs, b._terms.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        ea, eb = _evaluate(a, shift, xi), _evaluate(b, shift, xi)
+        if ea and eb:
+            g = _lift(_gcd_heu(ea, eb), shift, xi)
+            if g.is_constant:
+                return mono
+            if g.divides(a) and g.divides(b):
+                return mono * g
+        xi = xi * 73794 // 27011
+    return mono * _gcd_rec(a, b)
 
 
 def _gcd_full(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Greatest common divisor over the integers, content included."""
-    if _coprime(a, b):
-        return _P_ONE
-    g = _gcd_rec(a, b)
+    """Greatest common divisor of nonzero polynomials over the integers.
+
+    Content included, with a positive leading coefficient.
+    """
+    g = _gcd_heu(a, b)
     return -g if g.leading_coefficient() < 0 else g
 
 

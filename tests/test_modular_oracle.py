@@ -6,6 +6,7 @@ colored matrix at the same point without any ``graphpick.linalg`` code.
 """
 
 import random
+import time
 
 import pytest
 
@@ -72,19 +73,21 @@ def _dense(rng, n):
     return random_colored_graph(rng, n, min_vertices=n, edge_prob=0.3, connected=True)
 
 
-def _heavy_weights(rng, n):
-    """Zero labels next to polynomial weights near 10^40, some with lam.
+def _heavy_weights(rng, n, rational):
+    """Zero labels next to weights with coefficients near 10^40, some with lam.
 
     Zero and constant labels leave every eliminable diagonal entry zero at
-    some step, so the elimination has to pivot on a 2x2 block.
+    some step, so the elimination has to pivot on a 2x2 block.  ``rational``
+    adds the weight (lam - c)/(z + c), whose denominators scale the rows.
     """
     base = random_colored_graph(rng, n, min_vertices=n, edge_prob=0.5, connected=True)
 
     def weight():
         big = rng.choice((-1, 1)) * rng.randint(10**39, 10**41)
-        return rng.choice(
-            (RatFun(0), RatFun(0), RatFun(big), big * LAM + 1, Z * W - big, LAM - big * W)
-        )
+        choices = [RatFun(0), RatFun(0), RatFun(big), big * LAM + 1, Z * W - big, LAM - big * W]
+        if rational:
+            choices.append((LAM - big) / (Z + big))
+        return rng.choice(choices)
 
     colors = (Z_COLOR,) + tuple(general_color(weight()) for _ in range(n - 1))
     return ColoredGraph(colors, base.edges, 1)
@@ -100,12 +103,6 @@ FAMILIES = [
     (_zero_label, (4, 5, 6, 7)),
 ]
 
-# Reducing a Schur complement's entries, and inverting it once they are
-# rational, spends seconds in gcds on larger graphs (schur_reduce on path40,
-# inverse_entry on a 2x2 complement of a 16-vertex sparse graph), so those
-# routes are checked on the smaller graphs only.
-SCHUR_MAX_N = 16
-SCHUR_INVERSE_MAX_N = 12
 ALL_PAIRS_MAX_N = 7
 
 
@@ -137,8 +134,6 @@ def _check_graph(rng, g):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for i, j in pairs if n <= ALL_PAIRS_MAX_N else [rng.sample(range(1, n + 1), 2)]:
         _agrees(rng, inverse_entry(m, i, j), inverse_oracle(i, j))
-    if n > SCHUR_MAX_N:
-        return
     keep = sorted({g.root, rng.randint(1, n)})
     rest = [v for v in range(1, n + 1) if v not in keep]
     try:
@@ -161,8 +156,7 @@ def _check_graph(rng, g):
         return inverse_entry_mod(block, a, b)
 
     _agrees(rng, reduced.entry(a, b), schur_entry)
-    if n <= SCHUR_INVERSE_MAX_N:
-        _agrees(rng, inverse_entry(reduced, a, b), inverse_oracle(keep[a - 1], keep[b - 1]))
+    _agrees(rng, inverse_entry(reduced, a, b), inverse_oracle(keep[a - 1], keep[b - 1]))
 
 
 @pytest.mark.parametrize(
@@ -177,19 +171,34 @@ def test_matrix_operations_match_modular_oracle(family, sizes):
 @pytest.mark.parametrize("route", ["routed", "integer"])
 def test_heavy_weights_match_modular_oracle(route, monkeypatch):
     # Weights this large take the polynomial route unless it is overridden.
-    # Only determinants are checked, which need no gcd here: reducing an
-    # inverse entry of such a graph can spend minutes in the subresultant gcd.
-    if route == "integer":
+    # Forced onto integers, rows scaled by the rational weights' denominators
+    # need slots of thousands of bits, where CPython's quadratic division
+    # takes seconds per graph, so that run keeps to polynomial weights.
+    rational = route == "routed"
+    if not rational:
         monkeypatch.setattr(linalg, "_DIGITS_PER_TERM", 10**9)
         monkeypatch.setattr(linalg, "_MAX_SLOT", 10**9)
     rng = random.Random("modular-heavy-weights")
-    for n in (4, 5, 6, 8, 10):
-        g = _heavy_weights(rng, n)
+    for n in (4, 5, 6, 8, 10, 12):
+        g = _heavy_weights(rng, n, rational)
         for k in (None, 1, rng.randint(2, n)):
             order = [v for v in range(1, n + 1) if v != k]
             sub = _renumber(g, order, order[0])
             det = determinant(colored_adjacency(sub))
             _agrees(rng, det, lambda p, sub=sub: determinant_mod(graph_matrix_mod(sub, p)))
+            if not det.is_zero:
+                f = representing_function(sub)
+                _agrees(rng, f, lambda p, sub=sub: _root_value(sub, p))
+
+
+def test_tree_reduction_stays_fast():
+    """The final gcd of this 40-vertex z/w tree is the monomial z^5*w."""
+    rng = random.Random(5)
+    g = _tree(rng, 40)
+    start = time.process_time()
+    f = representing_function(g)
+    assert time.process_time() - start < 1.0
+    _agrees(rng, f, lambda p: _root_value(g, p))
 
 
 def test_retract_keeps_the_root_value_mod_p():

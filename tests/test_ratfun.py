@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphpick import ratfun
 from graphpick.ratfun import (
     LAM,
     VARIABLES,
@@ -14,9 +15,6 @@ from graphpick.ratfun import (
     RatFun,
     W,
     Z,
-    _POINT,
-    _PRIME,
-    _coprime,
     _gcd_full,
     _gcd_rec,
     _prem,
@@ -189,46 +187,110 @@ def _gcd_oracle(a, b):
     polynomials(nonzero=True, max_terms=5),
     polynomials(nonzero=True, max_terms=3),
 )
-def test_coprimality_test_agrees_with_full_gcd(a, b, g):
+def test_heuristic_gcd_agrees_with_subresultant_gcd(a, b, g):
     lhs, rhs = a * g, b * g
     got = _gcd_full(lhs, rhs)
     assert got == _gcd_oracle(lhs, rhs)
     if g.degree() > 0:
-        assert not _coprime(lhs, rhs)
         assert not got.is_constant
 
 
-def test_coprimality_test_constructed_cases():
-    z0, w0, _ = _POINT
-    # common factor whose leading coefficients in z and in w both vanish at
-    # the fixed point mod p: its images are the constant 1 in z and in w
-    unlucky = (w - w0) * (z - z0) + 1
-    # coprime operands whose z-images both drop their leading degree
-    dropped = (w - w0 - _PRIME) * z**2 + z + 1
-    cases = [
-        # (a, b, gcd, whether the image test alone decides)
-        ((z + 2) * unlucky, (z * w - 1) * unlucky, unlucky, False),
-        (dropped, (w - w0) * z + 3, one, False),
-        ((z**2 + w) * (w + 1), (z - lam) * (w + 1), w + 1, False),
-        ((z * w + 1) * (lam**2 + 3), (z - w) * (lam**2 + 3), lam**2 + 3, False),
-        (6 * (z * w + lam), 4 * (z - w + 1), Polynomial.integer(2), False),
-        (_PRIME * (z + 1), z + 1, z + 1, False),
-        (_PRIME * (z + w), z + 2, one, False),
-        (z**2 * w, z * (w + 1), z, False),
-        (3 * z * w * lam, z + w + 1, one, True),
-        (z**2 + w, z * w - lam, one, True),
-        (z + w, Polynomial.integer(5), one, True),
+@st.composite
+def planted_factors(draw):
+    """A product of the common factors the content split and the lift meet."""
+    exp, coeff = st.integers(0, 2), st.integers(-4, 4)
+    factors = [
+        Polynomial.from_terms({(draw(exp), draw(exp), draw(exp)): 1}),
+        draw(coeff) * z + draw(coeff) * w + draw(coeff) * lam + draw(coeff),
+        draw(coeff) * w ** draw(st.integers(1, 2)) + draw(coeff),
+        draw(coeff) * lam ** draw(st.integers(1, 2)) + draw(coeff),
+        Polynomial.integer(draw(st.integers(1, 30))),
     ]
-    for a, b, gcd, decided in cases:
+    out = one
+    for f in factors:
+        if f and draw(st.booleans()):
+            out = out * f
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=4),
+    polynomials(nonzero=True, max_terms=4),
+    planted_factors(),
+)
+def test_heuristic_gcd_finds_planted_factors(a, b, g):
+    lhs, rhs = a * g, b * g
+    got = _gcd_full(lhs, rhs)
+    assert got == _gcd_oracle(lhs, rhs)
+    assert g.divides(got)
+
+
+def test_heuristic_gcd_constructed_cases():
+    # the fixed point and prime of an earlier modular coprimality test: these
+    # factors made its univariate images unlucky, so they stay as inputs
+    prime = (1 << 61) - 1
+    z0, w0 = 1_201_495_339_431_861_837, 652_843_192_457_880_719
+    # common factor whose leading coefficients in z and in w both vanish at
+    # (z0, w0) mod the prime
+    unlucky = (w - w0) * (z - z0) + 1
+    # coprime operands whose leading z-coefficients both vanish there
+    dropped = (w - w0 - prime) * z**2 + z + 1
+    cases = [
+        # (a, b, gcd)
+        ((z + 2) * unlucky, (z * w - 1) * unlucky, unlucky),
+        (dropped, (w - w0) * z + 3, one),
+        ((z**2 + w) * (w + 1), (z - lam) * (w + 1), w + 1),
+        ((z * w + 1) * (lam**2 + 3), (z - w) * (lam**2 + 3), lam**2 + 3),
+        (6 * (z * w + lam), 4 * (z - w + 1), Polynomial.integer(2)),
+        (prime * (z + 1), z + 1, z + 1),
+        (prime * (z + w), z + 2, one),
+        (z**2 * w, z * (w + 1), z),
+        (3 * z * w * lam, z + w + 1, one),
+        (z**2 + w, z * w - lam, one),
+        (z + w, Polynomial.integer(5), one),
+    ]
+    for a, b, gcd in cases:
         assert _gcd_full(a, b) == _gcd_full(b, a) == _gcd_oracle(a, b) == gcd
-        assert _coprime(a, b) == _coprime(b, a) == decided
+
+
+# At the first xi the image gcd of these operands is a proper multiple of
+# the image of their gcd, and its lift fails the division check.
+UNLUCKY_FIRST_XI = [
+    (3 * z**2 + 6 * z, z**2 + 3 * z + 2, z + 2),
+    (6 * z**2 * w - 3 * z * w, 4 * z**2 * w - w, 2 * z * w - w),
+]
+
+
+def test_heuristic_gcd_retries_after_an_unlucky_xi(monkeypatch):
+    def no_fallback(a, b):
+        raise AssertionError("the subresultant gcd was reached")
+
+    monkeypatch.setattr(ratfun, "_gcd_rec", no_fallback)
+    for a, b, gcd in UNLUCKY_FIRST_XI:
+        assert _gcd_full(a, b) == _gcd_full(b, a) == gcd
+
+
+def test_heuristic_gcd_falls_back_when_every_xi_fails(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return _gcd_rec(a, b)
+
+    monkeypatch.setattr(ratfun, "_gcd_rec", spy)
+    monkeypatch.setattr(ratfun, "_HEU_TRIES", 1)
+    for a, b, gcd in UNLUCKY_FIRST_XI:
+        calls.clear()
+        assert _gcd_full(a, b) == gcd
+        assert calls
 
 
 def _to_sympy(sympy, p):
     return sympy.Poly(sympy.sympify(str(p).replace("^", "**")), *sympy.symbols("z w lam"))
 
 
-def test_coprimality_test_matches_sympy():
+def test_heuristic_gcd_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)
     for _ in range(30):
@@ -289,6 +351,23 @@ def test_pseudo_remainder(a, b, var):
     assert r.degree(var) < db
     lead = b.coefficients(var)[db]
     assert b.divides(lead ** (da - db + 1) * a - r)
+
+
+@pytest.mark.parametrize(
+    "num, den, want",
+    [
+        # the lower z-degree is 1 (z comes off z^2*w + z): one image is
+        # huge, the other small, and their integer gcd is cheap
+        ("z^600000 + w", "z^2*w + z", "(z^600000 + w)/(z^2*w + z)"),
+        # the monomial content w comes off, and again one z-image is small
+        ("z^100000*w + w", "z^3*w - w", "(z^100000 + 1)/(z^3 - 1)"),
+    ],
+)
+def test_sparse_high_degree_reduction_stays_fast(num, den, want):
+    start = time.process_time()
+    f = RatFun(parse_polynomial(num), parse_polynomial(den))
+    assert time.process_time() - start < 0.5
+    assert str(f) == want
 
 
 # ----------------------------------------------------------------------
