@@ -5,8 +5,11 @@ import pytest
 from graphpick.graphs import ColoredGraph, distance, retract
 from graphpick.laurent import contact_order, level_curve, walk_generating_series
 from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
+from graphpick.numcheck import pick_property_sample
 from graphpick.ratfun import LAM, Polynomial, RatFun
-from graphpick.sticks import stick_recurrence, stick_series_coefficients
+from graphpick.sticks import stick_recurrence
+
+from oracles import stick_series_coefficients
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -37,6 +40,8 @@ IDENTITY2 = SymMatrix.identity(2)
         (lambda: distance(PATH3, 0, 1), ValueError, "vertex out of range"),
         (lambda: stick_recurrence(-1), ValueError, "nonnegative"),
         (lambda: stick_series_coefficients(-1), ValueError, "nonnegative"),
+        (lambda: pick_property_sample(PATH3, 0), ValueError, "count must be at least 1"),
+        (lambda: pick_property_sample(PATH3, -5), ValueError, "count must be at least 1"),
     ],
     ids=[
         "unknown-variable",
@@ -59,6 +64,8 @@ IDENTITY2 = SymMatrix.identity(2)
         "distance-vertex",
         "stick-recurrence",
         "stick-series",
+        "sample-count-zero",
+        "sample-count-negative",
     ],
 )
 def test_input_check_raises(call, error, message):
