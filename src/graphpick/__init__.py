@@ -52,7 +52,14 @@ from .laurent import (
     verify_contact_theorem,
     walk_generating_series,
 )
-from .sticks import StickFamily, stick_determinants, stick_recurrence
+from .sticks import (
+    StickFamily,
+    stick_determinant_direct,
+    stick_determinants,
+    stick_matrix,
+    stick_recurrence,
+    stick_series_coefficients,
+)
 from .numcheck import SampleReport, eval_complex, pick_property_sample
 
 __version__ = "0.1.0"
@@ -99,8 +106,11 @@ __all__ = [
     "verify_contact_theorem",
     "walk_generating_series",
     "StickFamily",
+    "stick_determinant_direct",
     "stick_determinants",
+    "stick_matrix",
     "stick_recurrence",
+    "stick_series_coefficients",
     "SampleReport",
     "eval_complex",
     "pick_property_sample",

@@ -7,7 +7,8 @@ series).  Negative orders carry the polynomial part.
 Every series comes from one fraction-free power-series division,
 ``series_quotient``: it runs in polynomial arithmetic only and leaves the
 m-th coefficient as C_m / b0^(m+1), which is reduced once when the series
-is built.
+is built.  The stick generating function in :mod:`graphpick.sticks` uses
+the same division.
 """
 
 from __future__ import annotations

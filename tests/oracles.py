@@ -1,32 +1,23 @@
-"""Independent oracles for the linear algebra, contact order and stick table.
+"""Independent oracles for the linear algebra and the contact order in graphpick.
 
-The matrix oracles share no code with :mod:`graphpick.linalg`.  The exact
-oracles take determinants by recursive cofactor expansion and inverse
-entries from the adjugate, all in plain rational-function arithmetic.
-Matrices are nested sequences of entries (a ``SymMatrix``'s ``rows``
-qualify), because minors of a symmetric matrix need not be symmetric.
-``resolvent_oracle`` is the floating-point one: a numpy LU solve at a
-single point.  The modular oracles evaluate a matrix exactly at a random
-point modulo the prime 2^61 - 1 and solve it there by Gaussian
-elimination; comparing a symbolic result with them at a few points is an
-identity test with no tolerance (Schwartz-Zippel) that stays fast on
-graphs far beyond the cofactor oracles.  ``solve_gaussian`` solves the
-colored matrix exactly at a point with Gaussian-rational coordinates.
+These share no code with :mod:`graphpick.linalg`.  The exact oracles take
+determinants by recursive cofactor expansion and inverse entries from the
+adjugate, all in plain rational-function arithmetic.  Matrices are nested
+sequences of entries (a ``SymMatrix``'s ``rows`` qualify), because minors
+of a symmetric matrix need not be symmetric.  ``resolvent_oracle`` is the
+floating-point one: a numpy LU solve at a single point.  The modular
+oracles evaluate a matrix exactly at a random point modulo the prime
+2^61 - 1 and solve it there by Gaussian elimination; comparing a symbolic
+result with them at a few points is an identity test with no tolerance
+(Schwartz-Zippel) that stays fast on graphs far beyond the cofactor oracles.
 ``contact_order_oracle`` reads the contact order off the level curve's
-series at infinity instead of the closed-form degree count.  The stick
-routes check ``sticks.stick_recurrence`` two other ways: as determinants
-of the path matrices by ``linalg.determinant``, and as the coefficients of
-the generating function 1/(1 + z*x + x^2) by ``laurent.series_quotient``.
+series at infinity instead of the closed-form degree count.
 """
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from graphpick.graphs import ColoredGraph, colored_adjacency
-from graphpick.laurent import expand_at_infinity, level_curve, series_quotient
-from graphpick.linalg import SymMatrix, determinant
+from graphpick.graphs import ColoredGraph
+from graphpick.laurent import expand_at_infinity, level_curve
 from graphpick.numcheck import eval_complex
 from graphpick.ratfun import Polynomial, RatFun
 
@@ -93,34 +84,6 @@ def contact_order_oracle(f: RatFun, order: int = 40) -> int:
         if c.degree("lam") > 0:
             return series.start_order + idx
     raise ValueError(f"no lam-dependent coefficient up to z^-{order}")
-
-
-# ----------------------------------------------------------------------
-# path-graph determinants T_n, the two routes besides the recurrence
-
-_Z = Polynomial.variable("z")
-_P_ONE = Polynomial.one()
-
-
-def stick_matrix(n: int) -> SymMatrix:
-    """Tridiagonal z-colored adjacency matrix of the path on n vertices."""
-    if n < 1:
-        raise ValueError("stick needs at least one vertex")
-    return colored_adjacency(ColoredGraph.build(["z"] * n, [(v, v + 1) for v in range(1, n)]))
-
-
-def stick_determinant_direct(n: int) -> Polynomial:
-    """Determinant of the n-stick matrix by fraction-free elimination."""
-    if n == 0:
-        return _P_ONE
-    return determinant(stick_matrix(n)).num
-
-
-def stick_series_coefficients(max_n: int) -> list[Polynomial]:
-    """Coefficients of the series expansion of 1/(1 + z*x + x^2) in x."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    return series_quotient([_P_ONE], [_P_ONE, _Z, _P_ONE], max_n + 1)
 
 
 # ----------------------------------------------------------------------
@@ -218,87 +181,3 @@ def at_random_points(rng, check) -> None:
         if lucky == 2:
             return
     raise AssertionError("no lucky point in 20 draws")
-
-
-# ----------------------------------------------------------------------
-# exact values at Gaussian-rational points
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """The complex number re + im*i with rational parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __add__(self, o: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    def __truediv__(self, o: "GaussianRational") -> "GaussianRational":
-        d = o.norm()
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d
-        )
-
-    def norm(self) -> Fraction:
-        """|x|^2."""
-        return self.re * self.re + self.im * self.im
-
-
-_GQ_ZERO = GaussianRational(Fraction(0))
-_GQ_ONE = GaussianRational(Fraction(1))
-
-
-def poly_at_gaussian(p: Polynomial, z: GaussianRational, w: GaussianRational) -> GaussianRational:
-    """p at (z, w, lam = 0), exactly."""
-    total = _GQ_ZERO
-    for (ez, ew, el), c in p.terms():
-        if el:
-            continue
-        term = GaussianRational(Fraction(c))
-        for _ in range(ez):
-            term = term * z
-        for _ in range(ew):
-            term = term * w
-        total = total + term
-    return total
-
-
-def ratfun_at_gaussian(f: RatFun, z: GaussianRational, w: GaussianRational) -> GaussianRational:
-    return poly_at_gaussian(f.num, z, w) / poly_at_gaussian(f.den, z, w)
-
-
-def solve_gaussian(
-    g: ColoredGraph, k: int, z: GaussianRational, w: GaussianRational
-) -> list[GaussianRational]:
-    """x with A x = e_k, A the colored adjacency matrix of g at (z, w).
-
-    Gauss-Jordan elimination over the Gaussian rationals; raises
-    ``ZeroDivisionError`` when A is singular at the point.
-    """
-    n = g.n
-    aug = [[_GQ_ZERO] * n + [_GQ_ONE if r == k else _GQ_ZERO] for r in range(1, n + 1)]
-    for v in range(1, n + 1):
-        aug[v - 1][v - 1] = ratfun_at_gaussian(g.color(v).diagonal(), z, w)
-    for i, j in g.edges:
-        aug[i - 1][j - 1] = aug[j - 1][i - 1] = _GQ_ONE
-    for c in range(n):
-        r = next((r for r in range(c, n) if aug[r][c] != _GQ_ZERO), None)
-        if r is None:
-            raise ZeroDivisionError("singular colored matrix")
-        aug[c], aug[r] = aug[r], aug[c]
-        pivot = aug[c][c]
-        aug[c] = [x / pivot for x in aug[c]]
-        for r in range(n):
-            f = aug[r][c]
-            if r != c and f != _GQ_ZERO:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n] for row in aug]

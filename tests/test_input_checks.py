@@ -7,9 +7,7 @@ from graphpick.laurent import contact_order, level_curve, walk_generating_series
 from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
 from graphpick.numcheck import pick_property_sample
 from graphpick.ratfun import LAM, Polynomial, RatFun
-from graphpick.sticks import stick_recurrence
-
-from oracles import stick_series_coefficients
+from graphpick.sticks import stick_recurrence, stick_series_coefficients
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")

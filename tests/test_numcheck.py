@@ -58,7 +58,6 @@ def test_pick_sample_reciprocal_of_z():
     report = pick_property_sample(ColoredGraph.build(["z"]), count=500, seed=3)
     assert report.passed
     assert report.worst_imag >= 0.0
-    assert report.to_json()["worst_residual"] == 0.0
     assert report.samples == 500 and report.seed == 3
 
 

@@ -1,9 +1,13 @@
 import pytest
 
 from graphpick.ratfun import Polynomial, RatFun
-from graphpick.sticks import stick_determinants, stick_recurrence
-
-from oracles import stick_determinant_direct, stick_matrix, stick_series_coefficients
+from graphpick.sticks import (
+    stick_determinant_direct,
+    stick_determinants,
+    stick_matrix,
+    stick_recurrence,
+    stick_series_coefficients,
+)
 
 z = Polynomial.variable("z")
 
