@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .linalg import SymMatrix, inverse_entry
-from .ratfun import Polynomial, RatFun, clipped_repr, ratfun_from_json
+from .ratfun import W, Z, RatFun, clipped_repr, ratfun_from_json
 
-_RF_Z = RatFun(Polynomial.variable("z"))
-_RF_W = RatFun(Polynomial.variable("w"))
 _RF_ONE = RatFun(1)
 
 
@@ -37,9 +35,9 @@ class Color:
 
     def label(self) -> RatFun:
         if self.kind == "z":
-            return _RF_Z
+            return Z
         if self.kind == "w":
-            return _RF_W
+            return W
         return self.weight
 
     def diagonal(self) -> RatFun:
@@ -113,7 +111,7 @@ def colored_adjacency(g: ColoredGraph) -> SymMatrix:
     """Adjacency matrix with the color diagonal (-z, -w or -label)."""
     entries = {(v, v): g.color(v).diagonal() for v in range(1, g.n + 1)}
     for i, j in g.edges:
-        entries[i, j] = entries[j, i] = _RF_ONE
+        entries[i, j] = _RF_ONE
     return SymMatrix(g.n, entries)
 
 

@@ -11,6 +11,10 @@ up a 2x2 block pivot.  The determinant keeps no index, an inverse entry
 keeps its one or two indices, and a Schur complement keeps the requested
 block.
 
+A ``SymMatrix`` is built from one triangle and stores each entry's mirror
+itself; only ``SymMatrix.from_rows``, the dense entry point, compares
+entries with their mirrors.
+
 The elimination runs on integers.  B is packed once by the Kronecker
 substitution z -> X = 2^s, w -> X^(D_z+1), lam -> X^((D_z+1)(D_w+1))
 (Harvey, JSC 2009); each product and exact division of polynomials then
@@ -61,8 +65,9 @@ _MAX_SLOT = 256
 class SymMatrix:
     """Sparse symmetric n x n matrix of rational functions; indices are 1-based.
 
-    Built from ``{(i, j): entry}`` with both triangles given; only the
-    nonzero entries are kept.  ``from_rows`` is the dense entry point.
+    Built from ``{(i, j): entry}`` over one triangle, i <= j, each entry a
+    ``RatFun`` or anything ``RatFun(entry)`` takes; each nonzero entry is
+    stored with its mirror.  ``from_rows`` is the dense entry point.
     """
 
     __slots__ = ("n", "_rows")
@@ -70,16 +75,14 @@ class SymMatrix:
     def __init__(self, n: int, entries: dict[tuple[int, int], RatFun]):
         # index -> {index: nonzero entry}, both triangles
         rows: dict[int, dict[int, RatFun]] = {i: {} for i in range(1, n + 1)}
-        asymmetric = []
         for (i, j), e in entries.items():
             if i not in rows or j not in rows:
                 raise ValueError(f"matrix index ({i}, {j}) out of range for a {n}x{n} matrix")
-            if entries.get((j, i), _RF_ZERO) != e:
-                asymmetric.append(max(i, j))
-            elif not e.is_zero:
-                rows[i][j] = e
-        if asymmetric:
-            raise ValueError(f"matrix is not symmetric in row {min(asymmetric)}")
+            if i > j:
+                raise ValueError(f"matrix index ({i}, {j}) is below the diagonal")
+            e = e if isinstance(e, RatFun) else RatFun(e)
+            if e:
+                rows[i][j] = rows[j][i] = e
         self.n = n
         self._rows = rows
 
@@ -88,13 +91,12 @@ class SymMatrix:
         dense = [list(row) for row in rows]
         if any(len(row) != len(dense) for row in dense):
             raise ValueError("matrix rows must all have the same length")
+        for r, row in enumerate(dense):
+            if any(dense[c][r] != row[c] for c in range(r)):
+                raise ValueError(f"matrix is not symmetric in row {r + 1}")
         return cls(
             len(dense),
-            {
-                (i, j): e if isinstance(e, RatFun) else RatFun(e)
-                for i, row in enumerate(dense, 1)
-                for j, e in enumerate(row, 1)
-            },
+            {(i, j): e for i, row in enumerate(dense, 1) for j, e in enumerate(row[i - 1 :], i)},
         )
 
     @classmethod
@@ -301,10 +303,10 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
     # row and column i is a congruence after which the (j, j) inverse entry
     # is (e_i + e_j)^T A^-1 (e_i + e_j); polarize.
     a = m.entry
-    moved = {(r, c): e for r, row in m._rows.items() for c, e in row.items()}
+    moved = {(r, c): e for r, row in m._rows.items() for c, e in row.items() if r <= c}
     for c in range(1, n + 1):
-        moved[i, c] = moved[c, i] = a(i, c) - a(j, c)
-    moved[i, i] = moved[i, i] - a(j, i) + a(j, j)
+        moved[min(i, c), max(i, c)] = a(i, c) - a(j, c)
+    moved[i, i] -= a(j, i) - a(j, j)
     diagonal = inverse_entry(m, i) + inverse_entry(m, j)
     return (inverse_entry(SymMatrix(n, moved), j) - diagonal) / 2
 
@@ -331,5 +333,6 @@ def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
             (at[i], at[j]): RatFun(unpack(e), pivot * scale(i, j))
             for i in ks
             for j, e in left[i].items()
+            if i <= j
         },
     )

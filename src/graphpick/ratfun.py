@@ -168,8 +168,7 @@ class Polynomial:
             return -1
         if var is None:
             return max(_total_degree(k) for k in self._terms)
-        shift = _SHIFTS[_VAR_INDEX[var]]
-        return max((k >> shift) & _MASK for k in self._terms)
+        return self.max_degrees()[_VAR_INDEX[var]]
 
     def max_degrees(self) -> tuple[int, int, int]:
         """Degrees in z, w and lam; cached, as a polynomial never changes."""
@@ -211,40 +210,35 @@ class Polynomial:
     # ------------------------------------------------------------------
     # ring arithmetic
 
-    def _coerce(self, other) -> Polynomial | None:
+    @staticmethod
+    def _coerce(other) -> Polynomial | None:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, int):
             return Polynomial.integer(other)
         return None
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self._terms)
         for k, c in o._terms.items():
-            v = out.get(k, 0) + c
+            v = out.get(k, 0) + sign * c
             if v:
                 out[k] = v
             elif k in out:
                 del out[k]
         return Polynomial(out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in o._terms.items():
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return Polynomial(out)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -671,8 +665,11 @@ def _gcd_full(a: Polynomial, b: Polynomial) -> Polynomial:
 
     Content included, with a positive leading coefficient.
     """
-    g = _gcd_heu(a, b)
-    return -g if g.leading_coefficient() < 0 else g
+    return _positive_lead(_gcd_heu(a, b))
+
+
+def _positive_lead(p: Polynomial) -> Polynomial:
+    return -p if p.leading_coefficient() < 0 else p
 
 
 def _is_one(p: Polynomial) -> bool:
@@ -694,8 +691,7 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     """Least common multiple over the integers, positive leading coefficient."""
     if a.is_zero or b.is_zero:
         raise ValueError("lcm with a zero polynomial")
-    m = (a * b).exact_div(_gcd_full(a, b))
-    return -m if m.leading_coefficient() < 0 else m
+    return _positive_lead((a * b).exact_div(_gcd_full(a, b)))
 
 
 # ----------------------------------------------------------------------
@@ -703,11 +699,18 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _as_polynomial(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, int):
-        return Polynomial.integer(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
+    p = Polynomial._coerce(value)
+    if p is None:
+        raise TypeError(f"cannot interpret {value!r} as a polynomial")
+    return p
+
+
+def _cancel(x: Polynomial, y: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """x and y divided by their gcd."""
+    g = _gcd_full(x, y)
+    if _is_one(g):
+        return x, y
+    return x.exact_div(g), y.exact_div(g)
 
 
 class RatFun:
@@ -720,19 +723,7 @@ class RatFun:
         q = _as_polynomial(den)
         if q.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if p.is_zero:
-            self.num = _P_ZERO
-            self.den = _P_ONE
-            return
-        g = _gcd_full(p, q)
-        if not _is_one(g):
-            p = p.exact_div(g)
-            q = q.exact_div(g)
-        if q.leading_coefficient() < 0:
-            p = -p
-            q = -q
-        self.num = p
-        self.den = q
+        self.num, self.den = (_P_ZERO, _P_ONE) if p.is_zero else _sign_fix(*_cancel(p, q))
 
     @classmethod
     def _raw(cls, num: Polynomial, den: Polynomial) -> RatFun:
@@ -776,10 +767,7 @@ class RatFun:
         t = a * d1 + c * b1
         if t.is_zero:
             return _RF_ZERO
-        h = _gcd_full(t, g)
-        if not _is_one(h):
-            t = t.exact_div(h)
-            g = g.exact_div(h)
+        t, g = _cancel(t, g)
         return RatFun._raw(*_sign_fix(t, g * b1 * d1))
 
     __radd__ = __add__
@@ -806,14 +794,8 @@ class RatFun:
         a, b, c, d = self.num, self.den, o.num, o.den
         if a.is_zero or c.is_zero:
             return _RF_ZERO
-        g1 = _gcd_full(a, d)
-        if not _is_one(g1):
-            a = a.exact_div(g1)
-            d = d.exact_div(g1)
-        g2 = _gcd_full(c, b)
-        if not _is_one(g2):
-            c = c.exact_div(g2)
-            b = b.exact_div(g2)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
         return RatFun._raw(*_sign_fix(a * c, b * d))
 
     __rmul__ = __mul__

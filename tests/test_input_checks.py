@@ -25,6 +25,8 @@ IDENTITY2 = SymMatrix.identity(2)
         (lambda: RatFun(z) ** 0.5, ValueError, "integer exponent"),
         (lambda: RatFun("z"), TypeError, "cannot interpret"),
         (lambda: SymMatrix.from_rows([[1, 0], [0]]), ValueError, "same length"),
+        (lambda: SymMatrix(2, {(1, 1): "z"}), TypeError, "cannot interpret"),
+        (lambda: SymMatrix(2, {(2, 1): 1}), ValueError, r"\(2, 1\) is below the diagonal"),
         (lambda: inverse_entry(IDENTITY2, 3), ValueError, "out of range for a 2x2"),
         (lambda: schur_reduce(IDENTITY2, []), ValueError, "must not be empty"),
         (lambda: schur_reduce(IDENTITY2, [1, 3]), ValueError, "keep set out of range"),
@@ -49,6 +51,8 @@ IDENTITY2 = SymMatrix.identity(2)
         "fractional-power",
         "ratfun-from-str",
         "ragged-rows",
+        "sym-matrix-entry-type",
+        "sym-matrix-below-diagonal",
         "inverse-entry-index",
         "schur-empty-keep",
         "schur-keep-range",

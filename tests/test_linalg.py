@@ -115,19 +115,25 @@ def test_symmetric_matrix_required():
 
 
 def test_sparse_constructor_checks_stored_entries():
-    # zero entries are dropped; a missing entry reads as zero
-    m = SymMatrix(3, {(1, 1): rf(-z), (1, 3): rf(1), (3, 1): rf(1), (2, 2): rf(0)})
+    # one triangle in, both out; zero entries are dropped; a missing entry
+    # reads as zero
+    m = SymMatrix(3, {(1, 1): rf(-z), (1, 3): rf(1), (2, 2): rf(0)})
     zero = rf(0)
     assert m.rows == ((rf(-z), zero, rf(1)), (zero, zero, zero), (rf(1), zero, zero))
     assert determinant(m) == zero
+    # int and Polynomial entries are taken as RatFun values
+    assert determinant(SymMatrix(2, {(1, 1): 1, (2, 2): z})) == RatFun(z)
+    # the dense entry point compares each entry with its mirror
     with pytest.raises(ValueError, match="not symmetric in row 3"):
-        SymMatrix(3, {(1, 3): rf(1), (3, 1): rf(2)})
+        SymMatrix.from_rows([[0, 0, 1], [0, 0, 0], [2, 0, 0]])
     with pytest.raises(ValueError, match="not symmetric in row 2"):
+        SymMatrix.from_rows([[0, 0, 0], [rf(z), 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match=r"index \(2, 1\) is below the diagonal"):
         SymMatrix(3, {(2, 1): rf(z)})
     for bad in ((1, 3), (0, 1), (2, -1)):
-        with pytest.raises(ValueError, match="out of range for a 2x2 matrix"):
-            SymMatrix(2, {bad: rf(1), bad[::-1]: rf(1)})
-
+        for index in (bad, bad[::-1]):
+            with pytest.raises(ValueError, match="out of range for a 2x2 matrix"):
+                SymMatrix(2, {index: rf(1)})
 
 def test_zero_diagonal_values():
     # the (1, 1) cofactor is the zero block [[0]]
@@ -372,7 +378,7 @@ def test_integer_images_match_polynomials(monkeypatch):
                 entries[a, a] = RatFun(poly(), z + 1 if rng.random() < 0.1 else 1)
             for b in range(a + 1, n + 1):
                 if rng.random() < 0.6:
-                    entries[a, b] = entries[b, a] = RatFun(poly() if rng.random() < 0.3 else 1)
+                    entries[a, b] = RatFun(poly() if rng.random() < 0.3 else 1)
         m = SymMatrix(n, entries)
         keep = {v for v in range(1, n + 1) if rng.random() < 0.25}
         results = []

@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphpick import ratfun
@@ -603,6 +603,42 @@ def test_roundtrip_reduction(p, q, m):
     blown = RatFun(base.num * m, base.den * m)
     assert blown.num == base.num
     assert blown.den == base.den
+
+
+def _assert_canonical(f: RatFun) -> None:
+    """Denominator lead positive, num and den coprime, zero stored as 0/1."""
+    assert f.den.leading_coefficient() > 0
+    if f.num.is_zero:
+        assert f.den == one
+    else:
+        assert poly_gcd(f.num, f.den) == one
+        assert math.gcd(f.num.content(), f.den.content()) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(ratfuns(), ratfuns(), polynomials(nonzero=True), st.integers(-3, 3))
+# 1/(z^2 + z) + 1/(z^2 - z) = 2/(z^2 - 1): denominators share z, and so do
+# the cross sum 2z and the shared factor
+@example(rf(1, z * z + z), rf(-1, -(z * z) + z), one, 1)
+# coprime denominators, and a second operand that is zero
+@example(rf(1, -z - 1), rf(0), -(w * w) + 2, -2)
+def test_every_operation_returns_canonical_form(x, y, g, e):
+    """The operations that trust their own reduction all leave it canonical."""
+    # sharing g makes the denominators of x and y meet, so + takes Henrici's
+    # route as well as the coprime one
+    xg, yg = RatFun(x.num, x.den * g), RatFun(y.num, y.den * g)
+    results = [x + y, xg + yg, x - y, xg - yg, x * y, xg * yg, -x]
+    results += [x.derivative("z"), x.derivative("w")]
+    if y:
+        results += [x / y, xg / yg, y.reciprocal()]
+    if x or e >= 0:
+        results.append(x**e)
+    try:
+        results.append(x.substitute("z", y))
+    except ZeroDivisionError:
+        pass
+    for f in results:
+        _assert_canonical(f)
 
 
 def test_numeric_consistency_of_operations():
