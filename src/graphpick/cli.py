@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
+from collections import Counter
 
 from .gen import disjoint_union, random_colored_graph, random_permutation
 from .graphs import (
@@ -153,6 +155,11 @@ def _cmd_walkgen(args) -> int:
     _vertex_arg("--to", args.dst, g)
     if args.order < 0:
         raise GraphFormatError("--order: must be nonnegative")
+    # a length-k walk count is at most top^k, top the largest vertex degree
+    top = max(Counter(v for edge in g.edges for v in edge).values(), default=0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if top > 1 and limit and (args.order - 1) * math.log10(top) >= limit:
+        raise GraphFormatError(f"--order: counts up to {top}^{args.order - 1} pass {limit} digits")
     series = walk_generating_series(g, args.src, args.dst, args.order)
     if args.format == "json":
         _emit(series.to_json())

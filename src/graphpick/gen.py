@@ -21,7 +21,6 @@ def random_colored_graph(
     colors: tuple[str, ...] = ("z", "w"),
     edge_prob: float = 0.4,
     connected: bool = False,
-    root: int | None = None,
 ) -> ColoredGraph:
     n = rng.randint(min_vertices, max_vertices)
     cs = [Color(rng.choice(colors)) for _ in range(n)]
@@ -34,8 +33,7 @@ def random_colored_graph(
         for j in range(i + 1, n + 1):
             if (i, j) not in edges and rng.random() < edge_prob:
                 edges.add((i, j))
-    r = root if root is not None else rng.randint(1, n)
-    return ColoredGraph(tuple(cs), frozenset(edges), r)
+    return ColoredGraph(tuple(cs), frozenset(edges), rng.randint(1, n))
 
 
 def random_single_w_graph(rng: random.Random, max_vertices: int) -> ColoredGraph:

@@ -7,9 +7,9 @@ after denominators are cleared by a diagonal scaling to a polynomial matrix
 B.  Every intermediate entry is a minor of B, so every division is exact,
 and entries a step does not touch are rescaled lazily.  Where every
 eliminable diagonal entry is zero, a congruence and the next two steps make
-up a 2x2 block pivot.  The determinant keeps no index, an inverse entry
-keeps its one or two indices, and a Schur complement keeps the requested
-block.
+up a 2x2 block pivot.  The determinant keeps no index, a Schur complement
+keeps the requested block, and an inverse entry keeps its one or two indices
+and is one cofactor read off the block left, exact by Sylvester's identity.
 
 A ``SymMatrix`` is built from one triangle and stores each entry's mirror
 itself; only ``SymMatrix.from_rows``, the dense entry point, compares
@@ -272,43 +272,40 @@ def determinant(m: SymMatrix) -> RatFun:
     )
 
 
-def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
-    """Entry (i, j) of the matrix inverse.
+def _det(block: list[list]):
+    """Determinant of a square block of at most four rows, by Laplace expansion."""
+    if len(block) == 2:
+        (a, b), (c, d) = block
+        return a * d - b * c
+    if len(block) == 1:
+        return block[0][0]
+    minors = [[row[:k] + row[k + 1 :] for row in block[1:]] for k in range(len(block))]
+    return sum((-1) ** k * e * _det(minors[k]) for k, e in enumerate(block[0]) if e)
 
-    Defaults to the diagonal entry (i, i).  Indices are 1-based.
-    """
-    if j is None:
-        j = i
-    n = m.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"index ({i}, {j}) out of range for a {n}x{n} matrix")
+
+def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
+    """Entry (i, j) of the matrix inverse, (i, i) by default; indices are 1-based."""
+    j = i if j is None else j
+    if not (1 <= i <= m.n and 1 <= j <= m.n):
+        raise ValueError(f"index ({i}, {j}) out of range for a {m.n}x{m.n} matrix")
     left, pivot, scale, unpack = eliminate(m, {i, j})
-    if i == j:
-        if len(left) > 1:
-            # The cofactor of (i, i) is singular, so by Jacobi's identity the
-            # entry is 0 if A is invertible, which needs one index left next to i.
-            if len(left) == 2 and any(r != i for r in left[i]):
-                return _RF_ZERO
-            raise ValueError("singular colored matrix")
-        if i not in left[i]:
-            raise ValueError("singular colored matrix")
-        return RatFun(unpack(pivot) * scale(i, i), unpack(left[i][i]))
-    if len(left) == 2:
-        a_ij = left[i].get(j, 0)
-        minor = left[i].get(i, 0) * left[j].get(j, 0) - a_ij * a_ij
-        if not minor:
-            raise ValueError("singular colored matrix")
-        return RatFun(-unpack(a_ij) * scale(i, j), unpack(minor // pivot))
-    # No Schur complement onto {i, j}.  Subtracting row and column j from
-    # row and column i is a congruence after which the (j, j) inverse entry
-    # is (e_i + e_j)^T A^-1 (e_i + e_j); polarize.
-    a = m.entry
-    moved = {(r, c): e for r, row in m._rows.items() for c, e in row.items() if r <= c}
-    for c in range(1, n + 1):
-        moved[min(i, c), max(i, c)] = a(i, c) - a(j, c)
-    moved[i, i] -= a(j, i) - a(j, j)
-    diagonal = inverse_entry(m, i) + inverse_entry(m, j)
-    return (inverse_entry(SymMatrix(n, moved), j) - diagonal) / 2
+    # The entry is scale(i, j) * pivot * cof_ji(L) / det L, L the r x r block
+    # left.  Its indices off {i, j} span a zero block, so L is singular once
+    # they outnumber {i, j}.  By Sylvester's identity, det L and cof_ji(L) are
+    # pivot^(r-1) and pivot^(r-2) times minors of B, which fit the image.
+    order = sorted(left)
+    block = [[left[a].get(b, 0) for b in order] for a in order]
+    det = _det(block) if len(order) <= 2 * len({i, j}) else 0
+    if not det:
+        raise ValueError("singular colored matrix")
+    if len(order) == 1:
+        return RatFun(unpack(pivot) * scale(i, i), unpack(det))
+    a, b = order.index(j), order.index(i)
+    cof = (-1) ** (a + b) * _det([row[:b] + row[b + 1 :] for k, row in enumerate(block) if k != a])
+    det //= pivot
+    for _ in range(len(order) - 2):
+        cof, det = cof // pivot, det // pivot
+    return RatFun(unpack(cof) * scale(i, j), unpack(det))
 
 
 def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:

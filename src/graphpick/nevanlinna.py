@@ -28,9 +28,9 @@ def representing_function(g: ColoredGraph, vertex: int | None = None) -> RatFun:
     return inverse_entry(colored_adjacency(g), k)
 
 
-def reciprocal_transform(g: ColoredGraph, vertex: int | None = None) -> RatFun:
-    """Reciprocal of the representing function (the additive quantity)."""
-    return representing_function(g, vertex).reciprocal()
+def reciprocal_transform(g: ColoredGraph) -> RatFun:
+    """Reciprocal of the representing function at the root (the additive quantity)."""
+    return representing_function(g).reciprocal()
 
 
 @dataclass(frozen=True)

@@ -765,8 +765,6 @@ class RatFun:
         b1 = b.exact_div(g)
         d1 = d.exact_div(g)
         t = a * d1 + c * b1
-        if t.is_zero:
-            return _RF_ZERO
         t, g = _cancel(t, g)
         return RatFun._raw(*_sign_fix(t, g * b1 * d1))
 

@@ -181,6 +181,18 @@ def test_walkgen(capsys, write_graph):
     assert code == 0
     payload = json.loads(out)
     assert payload["start_order"] == 2
+    # the order cap: the 3-path's largest degree is 2, 2^2126 has 640 digits and 2^2127 641
+    vertices = [{"id": v, "color": "z"} for v in (1, 2, 3)]
+    path = write_graph({"vertices": vertices, "edges": [[1, 2], [2, 3]], "root": 1}, "p3.json")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run(capsys, "walkgen", path, "--from", "2", "--to", "2", "--order", "2127")
+        assert code == 0 and out.endswith(" + O(z^-2128)\n")
+        code, out, err = run(capsys, "walkgen", path, "--from", "2", "--to", "2", "--order", "2128")
+        assert code == 2 and out == "" and "--order" in err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sticks_table(capsys):
@@ -276,6 +288,19 @@ def test_malformed_inputs_exit_two(capsys, tmp_path, write_graph):
             assert err.endswith(", got [[[]]]\n")
         else:
             assert err.endswith("...\n")
+
+    # negative and empty counts, and a walk series whose counts are too long to print
+    small = write_graph(TWO_PATH, "two-path.json")
+    g0 = str(pathlib.Path(__file__).parents[1] / "bench" / "corpus" / "graphs" / "g0.json")
+    for argv in (
+        ("walkgen", small, "--from", "1", "--to", "2", "--order", "-1"),
+        ("sticks", "--max", "-1"),
+        ("sample", small, "--count", "0"),
+        ("walkgen", g0, "--from", "1", "--to", "1", "--order", "20000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {argv[-2]}: ") and err.count("\n") == 1
 
     # reading and decoding failures of the file itself
     not_utf8 = tmp_path / "latin1.json"

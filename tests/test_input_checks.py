@@ -2,9 +2,10 @@
 
 import pytest
 
-from graphpick.graphs import ColoredGraph, distance, retract
+from graphpick.graphs import ColoredGraph, GraphFormatError, distance, graph_from_json, retract
 from graphpick.laurent import contact_order, level_curve, walk_generating_series
 from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
+from graphpick.nevanlinna import representing_function
 from graphpick.numcheck import pick_property_sample
 from graphpick.ratfun import LAM, Polynomial, RatFun
 from graphpick.sticks import stick_recurrence, stick_series_coefficients
@@ -13,6 +14,7 @@ z = Polynomial.variable("z")
 w = Polynomial.variable("w")
 PATH3 = ColoredGraph.build(["z", "z", "z"], [(1, 2), (2, 3)])
 IDENTITY2 = SymMatrix.identity(2)
+EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "root": 1}
 
 
 @pytest.mark.parametrize(
@@ -42,6 +44,12 @@ IDENTITY2 = SymMatrix.identity(2)
         (lambda: stick_series_coefficients(-1), ValueError, "nonnegative"),
         (lambda: pick_property_sample(PATH3, 0), ValueError, "count must be at least 1"),
         (lambda: pick_property_sample(PATH3, -5), ValueError, "count must be at least 1"),
+        (
+            lambda: graph_from_json(EDGE_OUT_OF_RANGE),
+            GraphFormatError,
+            r"edges\[0\]: vertex id out of range 1\.\.1",
+        ),
+        (lambda: representing_function(PATH3, 4), ValueError, r"vertex 4 out of range 1\.\.3"),
     ],
     ids=[
         "unknown-variable",
@@ -68,6 +76,8 @@ IDENTITY2 = SymMatrix.identity(2)
         "stick-series",
         "sample-count-zero",
         "sample-count-negative",
+        "graph-edge-id",
+        "repfun-vertex",
     ],
 )
 def test_input_check_raises(call, error, message):

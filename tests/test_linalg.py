@@ -222,6 +222,16 @@ def test_inverse_entry_rejects_singular():
     sing = SymMatrix.from_rows([[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="singular colored matrix"):
         inverse_entry(sing, 1)
+    # a z-rooted star with three zero-label leaves: nothing can be eliminated,
+    # so all four indices are left, more than twice the one index kept
+    star = SymMatrix.from_rows([[-z, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    # keeping {1, 2} leaves the zero-label pair {3, 4} as well: four indices,
+    # but rows 3 and 4 are equal, so the leftover determinant is zero
+    pair = SymMatrix.from_rows([[-z, 0, 1, 1], [0, -w, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    for m, i, j, size in ((star, 1, 1, 4), (pair, 1, 2, 4), (sing, 1, 2, 2)):
+        assert len(linalg.eliminate(m, {i, j})[0]) == size
+        with pytest.raises(ValueError, match="singular colored matrix"):
+            inverse_entry(m, i, j)
 
 
 def test_schur_block_diagonal_is_projection():

@@ -129,8 +129,8 @@ def _check_graph(rng, g):
         return lambda p: inverse_entry_mod(graph_matrix_mod(g, p), i, j)
 
     _agrees(rng, representing_function(g), inverse_oracle(g.root, g.root))
-    # every pair on small graphs, where zero labels can leave no Schur
-    # complement onto {i, j} and inverse_entry has to polarize
+    # every pair on small graphs, where zero labels can leave zero-label
+    # indices next to {i, j} in the block the elimination leaves
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for i, j in pairs if n <= ALL_PAIRS_MAX_N else [rng.sample(range(1, n + 1), 2)]:
         _agrees(rng, inverse_entry(m, i, j), inverse_oracle(i, j))
