@@ -13,6 +13,26 @@ def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _random_edges(
+    rng: random.Random, n: int, edge_prob: float, connected: bool
+) -> frozenset[tuple[int, int]]:
+    """A random spanning tree when ``connected``, then each other pair with ``edge_prob``."""
+    edges = set()
+    # parent[v] is v's tree parent, 0 outside the tree
+    parent = [0] * (n + 1)
+    if connected:
+        randint = rng.randint
+        for v in range(2, n + 1):
+            u = parent[v] = randint(1, v - 1)
+            edges.add((u, v))
+    draw = rng.random
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if parent[j] != i and draw() < edge_prob:
+                edges.add((i, j))
+    return frozenset(edges)
+
+
 def random_colored_graph(
     rng: random.Random,
     max_vertices: int,
@@ -23,32 +43,23 @@ def random_colored_graph(
     connected: bool = False,
 ) -> ColoredGraph:
     n = rng.randint(min_vertices, max_vertices)
-    cs = [Color(rng.choice(colors)) for _ in range(n)]
-    edges = set()
-    if connected:
-        for v in range(2, n + 1):
-            u = rng.randint(1, v - 1)
-            edges.add((u, v))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in edges and rng.random() < edge_prob:
-                edges.add((i, j))
-    return ColoredGraph(tuple(cs), frozenset(edges), rng.randint(1, n))
+    palette = tuple(Z_COLOR if c == "z" else W_COLOR if c == "w" else Color(c) for c in colors)
+    choice = rng.choice
+    # a tuple of a list's exact size: one grown from a generator is resized
+    # as it fills, and the discarded draws then pile up in CPython's tuple
+    # free lists (about 1 MB over the benchmark's rejection sampling)
+    cs = tuple([choice(palette) for _ in range(n)])
+    edges = _random_edges(rng, n, edge_prob, connected)
+    return ColoredGraph(cs, edges, rng.randint(1, n))
 
 
 def random_single_w_graph(rng: random.Random, max_vertices: int) -> ColoredGraph:
     """Connected graph with exactly one w vertex and a random root."""
     n = rng.randint(1, max_vertices)
     wv = rng.randint(1, n)
-    cs = [W_COLOR if v == wv else Z_COLOR for v in range(1, n + 1)]
-    edges = set()
-    for v in range(2, n + 1):
-        edges.add((rng.randint(1, v - 1), v))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in edges and rng.random() < 0.3:
-                edges.add((i, j))
-    return ColoredGraph(tuple(cs), frozenset(edges), rng.randint(1, n))
+    cs = tuple([W_COLOR if v == wv else Z_COLOR for v in range(1, n + 1)])
+    edges = _random_edges(rng, n, 0.3, True)
+    return ColoredGraph(cs, edges, rng.randint(1, n))
 
 
 def random_star_pair(

@@ -24,17 +24,24 @@ bounds taken from B before any arithmetic:
 
 * D_v, the sum over the rows of max_j deg_v(B_ij), bounds the v-degree of
   every minor of B;
-* N, the product over the rows of max(1, sum_j |B_ij|_1), bounds the
-  1-norm of every minor (Bareiss, Math. Comp. 1968, for the minors).
+* H, the ceiling of the square root of the product over the rows of
+  max(1, sum_j |B_ij|_1^2), bounds every coefficient of every minor
+  (Bareiss, Math. Comp. 1968, for the minors).  A coefficient is at most
+  the polynomial's largest absolute value on the unit torus; there each
+  entry is at most its 1-norm, and Hadamard's inequality bounds a minor by
+  the product of its rows' 2-norms.  As sum a^2 <= (sum a)^2, H is never
+  more than the product of the row 1-norms, and a slot sized by H is
+  never wider than one sized by that product.
 
 A block pivot adds row and column v to row and column u, then eliminates u
 and at once v.  A minor holding both u and v is unchanged by that, and one
 holding u alone is, by linearity in row and column u, a sum of at most four
-minors of B.  So every entry has degrees at most D_v and 1-norm at most 4N,
-and s >= bit_length(4N) + 2, rounded up to a multiple of 8 so that the
-balanced base-2^s digits of an image unpack from one byte string in linear
-time.  An entry is zero exactly when its image is, so the order, the block
-pivots and ``keep`` act as they do on polynomials.
+minors of B.  So every entry has degrees at most D_v and coefficients of
+absolute value at most 4H, and s >= bit_length(4H) + 2, rounded up to a
+multiple of 8 so that the balanced base-2^s digits of an image unpack from
+one byte string in linear time.  An entry is zero exactly when its image
+is, so the order, the block pivots and ``keep`` act as they do on
+polynomials.
 
 The image spans prod(D_v + 1) digits of s bits, and the loop runs on
 ``Polynomial`` values instead when that box exceeds ``_DIGITS_PER_TERM``
@@ -119,20 +126,21 @@ def _integer_image(b: dict[tuple[int, int], Polynomial]):
     be mostly zero digits or its digits too wide; see the module docstring.
     """
     degrees: dict[int, list[int]] = {}
-    norms: dict[int, int] = {}
+    squares: dict[int, int] = {}
     terms = 0
     for (i, j), p in b.items():
         terms += len(p)
-        pd, norm = p.max_degrees(), p.one_norm()
+        pd, square = p.max_degrees(), p.one_norm() ** 2
         for r in {i, j}:
             row = degrees.setdefault(r, [0, 0, 0])
             row[:] = map(max, row, pd)
-            norms[r] = norms.get(r, 0) + norm
+            squares[r] = squares.get(r, 0) + square
     box = [sum(row[v] for row in degrees.values()) for v in range(3)]
     if math.prod(d + 1 for d in box) > _DIGITS_PER_TERM * terms:
         return None
-    # an entry is a sum of at most four minors of B
-    bound = 4 * math.prod(max(1, norm) for norm in norms.values())
+    # Hadamard's bound on a minor of B, rounded up; an entry is a sum of at
+    # most four minors
+    bound = 4 * (1 + math.isqrt(math.prod(max(1, sq) for sq in squares.values()) - 1))
     slot = -(-(bound.bit_length() + 2) // 8) * 8
     if slot > _MAX_SLOT:
         return None

@@ -12,11 +12,17 @@ result with them at a few points is an identity test with no tolerance
 (Schwartz-Zippel) that stays fast on graphs far beyond the cofactor oracles.
 ``contact_order_oracle`` reads the contact order off the level curve's
 series at infinity instead of the closed-form degree count.
+``reference_colored_graph`` and ``reference_single_w_graph`` are the seeded
+graph generators of :mod:`graphpick.gen` as first written, which pin the
+random stream that the benchmark's job sets and the committed corpus are
+drawn from.
 """
+
+import random
 
 import numpy as np
 
-from graphpick.graphs import ColoredGraph
+from graphpick.graphs import Color, ColoredGraph, W_COLOR, Z_COLOR
 from graphpick.laurent import expand_at_infinity, level_curve
 from graphpick.numcheck import eval_complex
 from graphpick.ratfun import Polynomial, RatFun
@@ -181,3 +187,41 @@ def at_random_points(rng, check) -> None:
         if lucky == 2:
             return
     raise AssertionError("no lucky point in 20 draws")
+
+
+def reference_colored_graph(
+    rng: random.Random,
+    max_vertices: int,
+    *,
+    min_vertices: int = 1,
+    colors: tuple[str, ...] = ("z", "w"),
+    edge_prob: float = 0.4,
+    connected: bool = False,
+) -> ColoredGraph:
+    n = rng.randint(min_vertices, max_vertices)
+    cs = [Color(rng.choice(colors)) for _ in range(n)]
+    edges = set()
+    if connected:
+        for v in range(2, n + 1):
+            u = rng.randint(1, v - 1)
+            edges.add((u, v))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i, j) not in edges and rng.random() < edge_prob:
+                edges.add((i, j))
+    return ColoredGraph(tuple(cs), frozenset(edges), rng.randint(1, n))
+
+
+def reference_single_w_graph(rng: random.Random, max_vertices: int) -> ColoredGraph:
+    """Connected graph with exactly one w vertex and a random root."""
+    n = rng.randint(1, max_vertices)
+    wv = rng.randint(1, n)
+    cs = [W_COLOR if v == wv else Z_COLOR for v in range(1, n + 1)]
+    edges = set()
+    for v in range(2, n + 1):
+        edges.add((rng.randint(1, v - 1), v))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i, j) not in edges and rng.random() < 0.3:
+                edges.add((i, j))
+    return ColoredGraph(tuple(cs), frozenset(edges), rng.randint(1, n))

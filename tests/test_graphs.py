@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphpick import gen
 from graphpick.gen import random_colored_graph, random_permutation
 from graphpick.graphs import (
     Color,
@@ -21,6 +22,7 @@ from graphpick.graphs import (
     star_product,
 )
 from graphpick.ratfun import Polynomial, RatFun
+from oracles import reference_colored_graph, reference_single_w_graph
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -348,3 +350,55 @@ def test_json_vertices_any_order():
     }
     g = graph_from_json(obj)
     assert g == zw_edge(2)
+
+
+# The parameters the seeded callers pass: the benchmark's dense, zero-label
+# and comb jobs, the corpus builder, ``verify``'s component suite, and the
+# star, comb and retract helpers.
+_COLORED_GRAPH_CASES = [
+    ((n,), {"min_vertices": n, "edge_prob": p, "connected": True})
+    for p, sizes in ((0.3, (5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17)), (0.4, (4, 6, 8)))
+    for n in sizes
+] + [
+    ((3,), {"min_vertices": 2, "colors": ("z",), "connected": True}),
+    ((4,), {}),
+    ((5,), {}),
+    ((6,), {}),
+    ((7,), {}),
+    ((5,), {"colors": ("z", "w")}),
+    ((4,), {"colors": ("z",)}),
+    ((6,), {"colors": ("z",)}),
+    ((5,), {"min_vertices": 1}),
+    ((8,), {"min_vertices": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, reference, cases",
+    [
+        (gen.random_colored_graph, reference_colored_graph, _COLORED_GRAPH_CASES),
+        (
+            gen.random_single_w_graph,
+            reference_single_w_graph,
+            [((n,), {}) for n in (1, 5, 6, 7, 8, 9, 10, 12)],
+        ),
+    ],
+    ids=["colored", "single-w"],
+)
+def test_seeded_generators_keep_their_stream(generator, reference, cases):
+    for args, kwargs in cases:
+        for seed in range(100):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            g = generator(mine, *args, **kwargs)
+            h = reference(theirs, *args, **kwargs)
+            case = (seed, args, kwargs)
+            assert g.colors == h.colors, case
+            assert list(g.edges) == list(h.edges), case
+            assert g.root == h.root, case
+            assert mine.random() == theirs.random(), case
+
+
+def test_random_colored_graph_rejects_unknown_kinds_at_once():
+    # "q" is never drawn from this seed, yet the palette is checked first
+    with pytest.raises(ValueError, match="unknown color kind 'q'"):
+        random_colored_graph(random.Random(0), 1, colors=("z",) * 10**3 + ("q",))

@@ -1,8 +1,12 @@
+import math
 import random
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 
 from graphpick import linalg
 from graphpick.gen import random_colored_graph
@@ -404,3 +408,98 @@ def test_integer_images_match_polynomials(monkeypatch):
             (a, b) in entries for a in free for b in free if a != b
         )
     assert blocks > 15
+
+
+def _slot(unpack) -> int:
+    """The digit width of an integer image.
+
+    A digit is balanced, so 2^k reads back as itself exactly while k is
+    below slot - 1.
+    """
+    k = 0
+    while unpack(1 << k) == Polynomial.from_terms({(0, 0, 0): 1 << k}):
+        k += 1
+    return k + 1
+
+
+def test_slot_holds_a_determinant_at_hadamards_bound():
+    # Sylvester's Hadamard matrix of order 16: symmetric, entries +-1, and
+    # rows orthogonal, so its determinant 2^32 reaches Hadamard's bound
+    # 16^(16/2) exactly
+    h = [[1]]
+    for _ in range(4):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    assert Matrix(h).det() == 2**32
+    m = SymMatrix.from_rows(h)
+    left, pivot, _, unpack = linalg.eliminate(m, ())
+    assert not left and isinstance(pivot, int)
+    assert unpack(pivot) == Polynomial.from_terms({(0, 0, 0): 2**32})
+    assert determinant(m) == RatFun(2**32)
+    # a slot one byte narrower reads the determinant back wrong
+    slot = _slot(unpack)
+    assert slot == 40
+    assert Polynomial.from_kronecker(pivot, slot - 8, 0, 0) != unpack(pivot)
+
+
+_COEFFICIENTS = st.sampled_from((1, 2, 3, 10**12)).flatmap(lambda c: st.sampled_from((c, -c)))
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    _COEFFICIENTS,
+    min_size=1,
+    max_size=3,
+).map(Polynomial.from_terms)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices like those of ``test_integer_images_match_polynomials``."""
+    n = draw(st.integers(2, 6))
+    entries = {}
+    for a in range(1, n + 1):
+        if draw(st.booleans()):
+            entries[a, a] = RatFun(draw(_POLYS), z + 1 if draw(st.booleans()) else 1)
+        for b in range(a + 1, n + 1):
+            if draw(st.booleans()):
+                entries[a, b] = RatFun(draw(_POLYS) if draw(st.booleans()) else 1)
+    return SymMatrix(n, entries)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture(b):
+    raise _Captured(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_slot_is_never_wider_than_the_product_of_row_norms(m):
+    """Hadamard's bound never widens the slot of the 1-norm product bound."""
+    # B as the elimination scales it from m
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_integer_image", _capture)
+        with pytest.raises(_Captured) as caught:
+            linalg.eliminate(m, ())
+    (b,) = caught.value.args
+    if not b:  # the zero matrix: no terms, so no image
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_DIGITS_PER_TERM", 10**9)
+        patch.setattr(linalg, "_MAX_SLOT", 10**9)
+        slot = _slot(linalg._integer_image(b)[1])
+    norms = {}
+    for (i, j), p in b.items():
+        for r in {i, j}:
+            norms[r] = norms.get(r, 0) + p.one_norm()
+    bound = 4 * math.prod(max(1, norm) for norm in norms.values())
+    assert slot <= -(-(bound.bit_length() + 2) // 8) * 8
+
+
+@pytest.mark.parametrize("n", [200, 250])
+def test_long_paths_take_the_integer_route(n, monkeypatch):
+    g = ColoredGraph.build(["z"] * n, [(v, v + 1) for v in range(1, n)])
+    assert linalg._integer_image(_upper(colored_adjacency(g))) is not None
+    f = representing_function(g)
+    monkeypatch.setattr(linalg, "_MAX_SLOT", 0)
+    assert representing_function(g) == f

@@ -172,7 +172,7 @@ def test_matrix_operations_match_modular_oracle(family, sizes):
 def test_heavy_weights_match_modular_oracle(route, monkeypatch):
     # Weights this large take the polynomial route unless it is overridden.
     # Forced onto integers, rows scaled by the rational weights' denominators
-    # need slots of thousands of bits, where CPython's quadratic division
+    # need slots of up to about 2000 bits, where CPython's quadratic division
     # takes seconds per graph, so that run keeps to polynomial weights.
     rational = route == "routed"
     if not rational:
