@@ -14,6 +14,8 @@ from .linalg import SymMatrix, inverse_entry
 from .ratfun import W, Z, RatFun, clipped_repr, ratfun_from_json
 
 _RF_ONE = RatFun(1)
+# one shared -z and -w, so a matrix holds at most three distinct z/w entries
+_DIAGONALS = {"z": -Z, "w": -W}
 
 
 class GraphFormatError(ValueError):
@@ -41,7 +43,7 @@ class Color:
         return self.weight
 
     def diagonal(self) -> RatFun:
-        return -self.label()
+        return _DIAGONALS.get(self.kind) or -self.weight
 
     def __str__(self):
         if self.kind == "general":

@@ -43,6 +43,26 @@ one byte string in linear time.  An entry is zero exactly when its image
 is, so the order, the block pivots and ``keep`` act as they do on
 polynomials.
 
+Where B has no denominators, so that every scale is 1, a result p/q is
+reduced without the polynomial gcd when the images prove it coprime.  Here
+p and q are nonzero sums of at most four minors of B with images P and Q,
+and if h = gcd(P, Q) < 2^(s-1), p and q share no factor of positive
+degree, so their gcd is the gcd of their contents:
+
+* every balanced digit of P and Q is at most 4H < 2^(s-2) in absolute
+  value.  This is why the slot has ``+ 2``: one bit of margin makes the
+  digits balanced, the second is this rule's;
+* a common factor G of positive degree divides q, so its degrees lie in the
+  box, and g(t) = G(t, t^(D_z+1), t^((D_z+1)(D_w+1))) is a nonconstant
+  integer polynomial that divides q's digit polynomial q(t), with
+  q(2^s) = Q;
+* by Cauchy's bound every root r of q(t), so every root of g(t), has
+  |r| < 1 + 2^(s-2), and the product over g's roots gives
+  |g(2^s)| >= prod |2^s - r| > (3 * 2^(s-2) - 1)^deg(g) >= 2^(s-1);
+* g(2^s) divides P and Q, hence h, so h < 2^(s-1) rules G out.
+
+Otherwise the result is reduced by ``RatFun`` and its polynomial gcd.
+
 The image spans prod(D_v + 1) digits of s bits, and the loop runs on
 ``Polynomial`` values instead when that box exceeds ``_DIGITS_PER_TERM``
 times the number of terms of B (sparse high-degree input, where most digits
@@ -54,10 +74,11 @@ division is spelled ``//`` on both element types, so there is one loop.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import reduce
 from typing import Collection, Iterable, Sequence
 
-from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, poly_gcd, poly_lcm
+from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, _sign_fix, poly_gcd, poly_lcm
 
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
@@ -120,23 +141,28 @@ class SymMatrix:
 
 
 def _integer_image(b: dict[tuple[int, int], Polynomial]):
-    """``(pack, unpack)`` of a Kronecker substitution injective on the entries.
+    """``(images, unpack, slot)`` of a Kronecker substitution injective on the entries.
 
-    ``b`` holds the upper triangle of B.  Returns None when the image would
-    be mostly zero digits or its digits too wide; see the module docstring.
+    ``b`` holds the upper triangle of B, ``images`` maps each distinct entry
+    to its image and ``slot`` is the digit width s.  Returns None when the
+    image would be mostly zero digits or its digits too wide; see the module
+    docstring.
     """
-    degrees: dict[int, list[int]] = {}
-    squares: dict[int, int] = {}
-    terms = 0
+    # A dense z/w matrix has many positions but at most three distinct
+    # entries (1, -z and -w), so each is sized and packed once: rows_of maps
+    # an entry to the rows it sits in, once per position.
+    rows_of: dict[Polynomial, list[int]] = {}
     for (i, j), p in b.items():
-        terms += len(p)
+        rows_of.setdefault(p, []).extend((i, j) if i != j else (i,))
+    degrees: dict[int, tuple[int, int, int]] = {}
+    squares: dict[int, int] = {}
+    for p, rows in rows_of.items():
         pd, square = p.max_degrees(), p.one_norm() ** 2
-        for r in {i, j}:
-            row = degrees.setdefault(r, [0, 0, 0])
-            row[:] = map(max, row, pd)
-            squares[r] = squares.get(r, 0) + square
+        for r, count in Counter(rows).items():
+            degrees[r] = tuple(map(max, degrees.get(r, pd), pd))
+            squares[r] = squares.get(r, 0) + count * square
     box = [sum(row[v] for row in degrees.values()) for v in range(3)]
-    if math.prod(d + 1 for d in box) > _DIGITS_PER_TERM * terms:
+    if math.prod(d + 1 for d in box) > _DIGITS_PER_TERM * sum(map(len, b.values())):
         return None
     # Hadamard's bound on a minor of B, rounded up; an entry is a sum of at
     # most four minors
@@ -146,8 +172,9 @@ def _integer_image(b: dict[tuple[int, int], Polynomial]):
         return None
     dz, dw, _ = box
     return (
-        lambda p: p.to_kronecker(slot, dz, dw),
+        {p: p.to_kronecker(slot, dz, dw) for p in rows_of},
         lambda x: Polynomial.from_kronecker(x, slot, dz, dw),
+        slot,
     )
 
 
@@ -156,15 +183,19 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
 
     The matrix A is first scaled to the polynomial matrix B = D*A*D/c, with
     d_i the lcm of the denominators in row i and c the gcd of all d_i.
-    Returns ``(left, pivot, scale, unpack)``: ``pivot`` is the determinant
-    of the eliminated block of B, ``scale(i, j)`` is d_i*d_j/c, so that A_ij
-    is B_ij / scale(i, j), and ``left`` holds the nonzero fraction-free
-    entries among the indices not eliminated: the Schur complement entry
-    (i, j) of A is ``left[i][j] / (pivot * scale(i, j))``.  Besides
-    ``keep``, ``left`` holds eliminable indices only when the eliminable
-    block is singular, and then its Schur complement is zero there.
-    ``pivot`` and the entries of ``left`` are images: ``unpack`` maps each
-    to its polynomial, and ``+``, ``-``, ``*`` and exact ``//`` act on them.
+    Returns ``(left, pivot, scale, unpack, quotient)``: ``pivot`` is the
+    determinant of the eliminated block of B, ``scale(i, j)`` is d_i*d_j/c,
+    so that A_ij is B_ij / scale(i, j), and ``left`` holds the nonzero
+    fraction-free entries among the indices not eliminated: the Schur
+    complement entry (i, j) of A is ``left[i][j] / (pivot * scale(i, j))``.
+    Besides ``keep``, ``left`` holds eliminable indices only when the
+    eliminable block is singular, and then its Schur complement is zero
+    there.  ``pivot`` and the entries of ``left`` are images: ``unpack``
+    maps each to its polynomial, and ``+``, ``-``, ``*`` and exact ``//``
+    act on them.  ``quotient(num, den, num_scale, den_scale)`` is the
+    reduced ``RatFun`` of unpack(num) * num_scale over unpack(den) *
+    den_scale, for nonzero images num and den that are sums of at most four
+    minors of B; ``den`` defaults to the image of 1 and each scale to 1.
     """
     rows = m._rows
     dens = {
@@ -187,11 +218,30 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
     }
     image = _integer_image(b)
     if image is None:
-        one, unpack = _P_ONE, _identity
+        one, unpack, half = _P_ONE, _identity, 0
     else:
-        pack, unpack = image
+        images, unpack, slot = image
         one = 1
-        b = {ij: pack(p) for ij, p in b.items()}
+        b = {ij: images[p] for ij, p in b.items()}
+        # the coprimality rule of the module docstring holds while every
+        # scale is 1
+        half = 1 << (slot - 1) if unit else 0
+
+    def quotient(num, den=one, num_scale=_P_ONE, den_scale=_P_ONE) -> RatFun:
+        p, q = unpack(num), unpack(den)
+        if half and math.gcd(num, den) < half:
+            # p and q share no factor of positive degree, so their gcd is
+            # the gcd of their contents
+            c = math.gcd(p.content(), q.content())
+            if c != 1:
+                c = Polynomial.integer(c)
+                p, q = p // c, q // c
+            return RatFun._raw(*_sign_fix(p, q))
+        if num_scale is not _P_ONE:
+            p = p * num_scale
+        if den_scale is not _P_ONE:
+            q = q * den_scale
+        return RatFun(p, q)
 
     # cell = [value, generation]; both triangles share one cell
     adj: dict[int, dict[int, list]] = {i: {} for i in rows}
@@ -263,7 +313,7 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
 
     gen = len(pivots) - 1
     left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}
-    return left, pivots[-1], scale, unpack
+    return left, pivots[-1], scale, unpack, quotient
 
 
 def _identity(p: Polynomial) -> Polynomial:
@@ -272,11 +322,11 @@ def _identity(p: Polynomial) -> Polynomial:
 
 def determinant(m: SymMatrix) -> RatFun:
     """Exact determinant; the zero rational function for singular input."""
-    left, pivot, scale, unpack = eliminate(m, ())
+    left, pivot, scale, _, quotient = eliminate(m, ())
     if left:
         return _RF_ZERO
-    return RatFun(
-        unpack(pivot), math.prod((scale(i, i) for i in range(1, m.n + 1)), start=_P_ONE)
+    return quotient(
+        pivot, den_scale=math.prod((scale(i, i) for i in range(1, m.n + 1)), start=_P_ONE)
     )
 
 
@@ -296,7 +346,7 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
     j = i if j is None else j
     if not (1 <= i <= m.n and 1 <= j <= m.n):
         raise ValueError(f"index ({i}, {j}) out of range for a {m.n}x{m.n} matrix")
-    left, pivot, scale, unpack = eliminate(m, {i, j})
+    left, pivot, scale, _, quotient = eliminate(m, {i, j})
     # The entry is scale(i, j) * pivot * cof_ji(L) / det L, L the r x r block
     # left.  Its indices off {i, j} span a zero block, so L is singular once
     # they outnumber {i, j}.  By Sylvester's identity, det L and cof_ji(L) are
@@ -307,13 +357,15 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
     if not det:
         raise ValueError("singular colored matrix")
     if len(order) == 1:
-        return RatFun(unpack(pivot) * scale(i, i), unpack(det))
+        return quotient(pivot, det, num_scale=scale(i, i))
     a, b = order.index(j), order.index(i)
     cof = (-1) ** (a + b) * _det([row[:b] + row[b + 1 :] for k, row in enumerate(block) if k != a])
+    if not cof:
+        return _RF_ZERO
     det //= pivot
     for _ in range(len(order) - 2):
         cof, det = cof // pivot, det // pivot
-    return RatFun(unpack(cof) * scale(i, j), unpack(det))
+    return quotient(cof, det, num_scale=scale(i, j))
 
 
 def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
@@ -327,15 +379,14 @@ def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
         raise ValueError("keep set must not be empty")
     if ks[0] < 1 or ks[-1] > m.n:
         raise ValueError("keep set out of range")
-    left, pivot, scale, unpack = eliminate(m, ks)
+    left, pivot, scale, _, quotient = eliminate(m, ks)
     if len(left) > len(ks):
         raise ValueError("singular block in Schur reduction")
     at = {k: a for a, k in enumerate(ks, 1)}
-    pivot = unpack(pivot)
     return SymMatrix(
         len(ks),
         {
-            (at[i], at[j]): RatFun(unpack(e), pivot * scale(i, j))
+            (at[i], at[j]): quotient(e, pivot, den_scale=scale(i, j))
             for i in ks
             for j, e in left[i].items()
             if i <= j

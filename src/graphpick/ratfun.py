@@ -256,6 +256,10 @@ class Polynomial:
         a, b = self._terms, o._terms
         if not a or not b:
             return _P_ZERO
+        if b == {0: 1}:
+            return self
+        if a == {0: 1}:
+            return o
         (az, aw, al), (bz, bw, bl) = self.max_degrees(), o.max_degrees()
         if az + bz >= _EXP_LIMIT or aw + bw >= _EXP_LIMIT or al + bl >= _EXP_LIMIT:
             raise ValueError("product exceeds the supported monomial degree")
@@ -707,6 +711,8 @@ def _as_polynomial(value) -> Polynomial:
 
 def _cancel(x: Polynomial, y: Polynomial) -> tuple[Polynomial, Polynomial]:
     """x and y divided by their gcd."""
+    if _is_one(y):
+        return x, y
     g = _gcd_full(x, y)
     if _is_one(g):
         return x, y

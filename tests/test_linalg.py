@@ -13,7 +13,7 @@ from graphpick.gen import random_colored_graph
 from graphpick.graphs import ColoredGraph, colored_adjacency, general_color
 from graphpick.linalg import SymMatrix, determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
-from graphpick.ratfun import Polynomial, RatFun, parse_ratfun
+from graphpick.ratfun import Polynomial, RatFun, _gcd_rec, parse_ratfun, poly_gcd
 from oracles import cofactor_determinant, cofactor_inverse_entry
 
 z = Polynomial.variable("z")
@@ -366,7 +366,7 @@ def test_sparse_high_degree_input_stays_fast():
 
 
 def _eliminated(m, keep):
-    left, pivot, _, unpack = linalg.eliminate(m, keep)
+    left, pivot, _, unpack, _ = linalg.eliminate(m, keep)
     return unpack(pivot), {i: {j: unpack(e) for j, e in row.items()} for i, row in left.items()}
 
 
@@ -431,7 +431,7 @@ def test_slot_holds_a_determinant_at_hadamards_bound():
         h = [row + row for row in h] + [row + [-x for x in row] for row in h]
     assert Matrix(h).det() == 2**32
     m = SymMatrix.from_rows(h)
-    left, pivot, _, unpack = linalg.eliminate(m, ())
+    left, pivot, _, unpack, _ = linalg.eliminate(m, ())
     assert not left and isinstance(pivot, int)
     assert unpack(pivot) == Polynomial.from_terms({(0, 0, 0): 2**32})
     assert determinant(m) == RatFun(2**32)
@@ -451,13 +451,16 @@ _POLYS = st.dictionaries(
 
 
 @st.composite
-def _matrices(draw):
-    """Matrices like those of ``test_integer_images_match_polynomials``."""
+def _matrices(draw, unit=False):
+    """Matrices like those of ``test_integer_images_match_polynomials``.
+
+    A ``unit`` matrix has no denominators.
+    """
     n = draw(st.integers(2, 6))
     entries = {}
     for a in range(1, n + 1):
         if draw(st.booleans()):
-            entries[a, a] = RatFun(draw(_POLYS), z + 1 if draw(st.booleans()) else 1)
+            entries[a, a] = RatFun(draw(_POLYS), 1 if unit or not draw(st.booleans()) else z + 1)
         for b in range(a + 1, n + 1):
             if draw(st.booleans()):
                 entries[a, b] = RatFun(draw(_POLYS) if draw(st.booleans()) else 1)
@@ -503,3 +506,102 @@ def test_long_paths_take_the_integer_route(n, monkeypatch):
     f = representing_function(g)
     monkeypatch.setattr(linalg, "_MAX_SLOT", 0)
     assert representing_function(g) == f
+
+
+# ----------------------------------------------------------------------
+# reducing a result by the gcd of its images
+
+
+def _all_results(m, keep):
+    """Every inverse entry, the Schur complement onto ``keep`` and the determinant."""
+    out = []
+    for i in range(1, m.n + 1):
+        for j in range(i, m.n + 1):
+            try:
+                out.append(inverse_entry(m, i, j))
+            except ValueError:
+                out.append(None)
+    try:
+        out.extend(e for row in schur_reduce(m, keep).rows for e in row)
+    except ValueError:
+        out.append(None)
+    out.append(determinant(m))
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(_matrices(unit=True), st.data())
+def test_image_gcd_reduction_matches_the_polynomial_gcd(m, data):
+    """Results reduced by their images' gcd equal those of the polynomial gcd."""
+    keep = data.draw(st.sets(st.integers(1, m.n), min_size=1))
+    results = _all_results(m, keep)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_DIGITS_PER_TERM", 0)
+        patch.setattr(linalg, "_MAX_SLOT", 0)
+        assert _all_results(m, keep) == results
+    for f in results:
+        if f is not None:
+            assert f.den.leading_coefficient() > 0
+            assert poly_gcd(f.num, f.den) == 1
+            assert math.gcd(f.num.content(), f.den.content()) == 1
+
+
+def test_image_gcd_bounds_every_common_factor(monkeypatch):
+    """A pair sharing a factor of positive degree has an image gcd >= 2^(s-1)."""
+    pairs = []
+    eliminate = linalg.eliminate
+
+    def recording(m, keep):
+        left, pivot, scale, unpack, quotient = eliminate(m, keep)
+
+        def spy(num, den, **scales):
+            pairs.append((num, den, unpack))
+            return quotient(num, den, **scales)
+
+        return left, pivot, scale, unpack, spy
+
+    monkeypatch.setattr(linalg, "eliminate", recording)
+    # on z/w trees the two minors often share factors
+    for n in (12, 16, 20):
+        for seed in range(6):
+            g = random_colored_graph(
+                random.Random(seed), n, min_vertices=n, edge_prob=0.0, connected=True
+            )
+            m = colored_adjacency(g)
+            inverse_entry(m, g.root)
+            inverse_entry(m, g.root, g.root % n + 1)
+    shared = 0
+    for num, den, unpack in pairs:
+        if not _gcd_rec(unpack(num), unpack(den)).is_constant:
+            shared += 1
+            assert math.gcd(num, den) >= 1 << (_slot(unpack) - 1)
+    assert shared >= 10
+
+
+def test_image_gcd_reduction_divides_out_the_shared_content():
+    # the minors 2*w and 4*z*w - 4 share the content 2 and no other factor
+    m = SymMatrix.from_rows([[2 * z, 2], [2, 2 * w]])
+    assert inverse_entry(m, 1) == rf(w, 2 * z * w - 2)
+    assert str(inverse_entry(m, 1)) == "(w)/(2*z*w - 2)"
+
+
+def test_inverse_entry_across_blocks_is_zero():
+    # block diagonal with determinant 1: the entries across the blocks are 0
+    m = SymMatrix.from_rows([[z, 1, 0, 0], [1, 0, 0, 0], [0, 0, w, 1], [0, 0, 1, 0]])
+    assert determinant(m) == rf(1)
+    for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
+        assert inverse_entry(m, i, j) == RatFun(0)
+        assert str(inverse_entry(m, i, j)) == "0"
+
+
+@pytest.mark.parametrize("c", [1, 10**40])
+def test_zero_inverse_entries_on_both_routes(c):
+    # c = 10^40 in two rows sends the elimination to the polynomial route,
+    # where the zero cofactor of entry (3, 4) is the integer 0
+    rows = [[0, 0, 1, 0], [0, 0, 1, 1], [1, 1, 0, c], [0, 1, c, 0]]
+    m = SymMatrix.from_rows(rows)
+    assert (linalg._integer_image(_upper(m)) is None) == (c > 1)
+    inverse = Matrix(rows).inv()
+    for i in range(1, 5):
+        for j in range(i, 5):
+            assert inverse_entry(m, i, j) == rf(int(inverse[i - 1, j - 1]))
