@@ -268,10 +268,10 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
     for (i, j), value in b.items():
         store(i, j, value, 0)
 
+    free = {v for v in adj if v not in keep}
     partner = None
     while True:
         gen = len(pivots) - 1
-        free = {v for v in adj if v not in keep}
         candidates = [v for v in free if v in adj[v]] if partner is None else [partner]
         partner = None
         if not candidates:
@@ -310,6 +310,7 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
         for u in nbrs:
             del adj[u][v]
         del adj[v]
+        free.discard(v)
 
     gen = len(pivots) - 1
     left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}

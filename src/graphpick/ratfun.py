@@ -46,7 +46,8 @@ Algebra*, ch. 7), which ``_gcd_heu`` runs one variable at a time:
   exactly.  With xi at least that bound, a lift that divides both is
   their gcd, so an unlucky xi costs time, never a wrong answer.
 * Retries: up to ``_HEU_TRIES`` values of xi, each the last times
-  73794/27011, are tried before the subresultant gcd ``_gcd_rec`` answers.
+  73794/27011, are tried before ``_gcd_rec`` answers with a primitive
+  remainder sequence, whose contents come from this same heuristic.
 * Sparse rule: when the lower of the two v-degrees, plus 1, exceeds
   ``_DIGITS_PER_TERM`` times the operands' term count, both images would
   be mostly zero digits, so ``_gcd_rec`` answers at once.
@@ -522,26 +523,25 @@ def _normalize_content_sign(p: Polynomial) -> Polynomial:
 
 
 # ----------------------------------------------------------------------
-# multivariate gcd: contents stripped recursively, then a subresultant
-# polynomial remainder sequence (Collins 1967; Brown & Traub 1971) in the
-# first of z, w, lam present, run on the packed polynomials themselves.
-# It is the heuristic gcd's fallback.
+# multivariate gcd, the heuristic gcd's fallback: a primitive polynomial
+# remainder sequence (Brown, JACM 1971) in the first of z, w, lam present.
+# Each pseudo-remainder is divided by its content in that variable, so no
+# power of a leading coefficient builds up.  Every content is a gcd taken by
+# ``_gcd_heu`` of polynomials free of the main variable and of every
+# variable before it; each such call has a variable fewer, so the mutual
+# recursion ends.
 
 
 def _prem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, degrees in var."""
+    """Pseudo-remainder lc(b)^k * a mod b, degrees in var, k the steps run."""
     shift = _SHIFTS[_VAR_INDEX[var]]
     db = b.degree(var)
     lb = b.coefficients(var)[db]
     r = a
-    steps = a.degree(var) - db + 1
     while r and (dr := r.degree(var)) >= db:
         off = (dr - db) << shift
         shifted = Polynomial({k + off: c for k, c in b._terms.items()})
         r = r * lb - shifted * r.coefficients(var)[dr]
-        steps -= 1
-    if steps > 0 and r:
-        r = r * lb**steps
     return r
 
 
@@ -574,29 +574,18 @@ def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
         key = _min_key(_monomial_content(a), _monomial_content(b))
         return Polynomial({key: math.gcd(a.content(), b.content())})
 
-    ca = reduce(_gcd_rec, a.coefficients(var).values())
-    cb = reduce(_gcd_rec, b.coefficients(var).values())
+    ca = reduce(_gcd_heu, a.coefficients(var).values())
+    cb = reduce(_gcd_heu, b.coefficients(var).values())
     a, b = a.exact_div(ca), b.exact_div(cb)
-    c = _gcd_rec(ca, cb)
+    c = _gcd_heu(ca, cb)
 
     big, small = (a, b) if a.degree(var) >= b.degree(var) else (b, a)
-    g = h = _P_ONE
-    while True:
-        if small.degree(var) == 0:
-            return c
-        delta = big.degree(var) - small.degree(var)
+    while small.degree(var):
         r = _prem(big, small, var)
         if not r:
-            break
-        if r.degree(var) == 0:
-            return c
-        big, small = small, r.exact_div(g * h**delta)
-        g = big.coefficients(var)[big.degree(var)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g**delta).exact_div(h ** (delta - 1))
-    return c * small.exact_div(reduce(_gcd_rec, small.coefficients(var).values()))
+            return c * small
+        big, small = small, r.exact_div(reduce(_gcd_heu, r.coefficients(var).values()))
+    return c
 
 
 # ----------------------------------------------------------------------

@@ -15,17 +15,31 @@ series at infinity instead of the closed-form degree count.
 ``reference_colored_graph`` and ``reference_single_w_graph`` are the seeded
 graph generators of :mod:`graphpick.gen` as first written, which pin the
 random stream that the benchmark's job sets and the committed corpus are
-drawn from.
+drawn from.  ``subresultant_gcd`` and ``padded_prem`` are the polynomial gcd
+that :mod:`graphpick.ratfun` used before its primitive remainder sequence: a
+subresultant sequence (Collins 1967; Brown & Traub 1971) that takes every
+content by its own recursion, so it shares no route with the heuristic gcd.
 """
 
+import math
 import random
+from functools import reduce
 
 import numpy as np
 
 from graphpick.graphs import Color, ColoredGraph, W_COLOR, Z_COLOR
 from graphpick.laurent import expand_at_infinity, level_curve
 from graphpick.numcheck import eval_complex
-from graphpick.ratfun import Polynomial, RatFun
+from graphpick.ratfun import (
+    _P_ONE,
+    _SHIFTS,
+    _VAR_INDEX,
+    VARIABLES,
+    Polynomial,
+    RatFun,
+    _min_key,
+    _monomial_content,
+)
 
 
 def cofactor_determinant(rows) -> RatFun:
@@ -225,3 +239,57 @@ def reference_single_w_graph(rng: random.Random, max_vertices: int) -> ColoredGr
             if (i, j) not in edges and rng.random() < 0.3:
                 edges.add((i, j))
     return ColoredGraph(tuple(cs), frozenset(edges), rng.randint(1, n))
+
+
+def padded_prem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, degrees in var."""
+    shift = _SHIFTS[_VAR_INDEX[var]]
+    db = b.degree(var)
+    lb = b.coefficients(var)[db]
+    r = a
+    steps = a.degree(var) - db + 1
+    while r and (dr := r.degree(var)) >= db:
+        off = (dr - db) << shift
+        shifted = Polynomial({k + off: c for k, c in b._terms.items()})
+        r = r * lb - shifted * r.coefficients(var)[dr]
+        steps -= 1
+    if steps > 0 and r:
+        r = r * lb**steps
+    return r
+
+
+def subresultant_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd(a, b) of nonzero polynomials over the integers, up to sign."""
+    if a._terms == b._terms:
+        return a
+    da, db = a.max_degrees(), b.max_degrees()
+    var = next((v for v, ea, eb in zip(VARIABLES, da, db) if ea or eb), None)
+    if var is None:
+        return Polynomial.integer(math.gcd(a._terms[0], b._terms[0]))
+    if len(a._terms) == 1 or len(b._terms) == 1:
+        key = _min_key(_monomial_content(a), _monomial_content(b))
+        return Polynomial({key: math.gcd(a.content(), b.content())})
+
+    ca = reduce(subresultant_gcd, a.coefficients(var).values())
+    cb = reduce(subresultant_gcd, b.coefficients(var).values())
+    a, b = a.exact_div(ca), b.exact_div(cb)
+    c = subresultant_gcd(ca, cb)
+
+    big, small = (a, b) if a.degree(var) >= b.degree(var) else (b, a)
+    g = h = _P_ONE
+    while True:
+        if small.degree(var) == 0:
+            return c
+        delta = big.degree(var) - small.degree(var)
+        r = padded_prem(big, small, var)
+        if not r:
+            break
+        if r.degree(var) == 0:
+            return c
+        big, small = small, r.exact_div(g * h**delta)
+        g = big.coefficients(var)[big.degree(var)]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = (g**delta).exact_div(h ** (delta - 1))
+    return c * small.exact_div(reduce(subresultant_gcd, small.coefficients(var).values()))

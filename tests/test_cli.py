@@ -66,6 +66,19 @@ TWO_PATH = {
     "root": 1,
 }
 
+# sparse labels with degree gaps near 1000: the final gcd of vertex 2 falls
+# back to the primitive remainder sequence
+SPARSE_LABELS = {
+    "vertices": [
+        {"id": 1, "color": "z"},
+        {"id": 2, "color": {"num": "0", "den": "1"}},
+        {"id": 3, "color": {"num": "w^666 - 1", "den": "1"}},
+        {"id": 4, "color": {"num": "z^1000 + w", "den": "1"}},
+    ],
+    "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]],
+    "root": 1,
+}
+
 
 @pytest.fixture
 def write_graph(tmp_path):
@@ -107,6 +120,15 @@ def test_repfun_vertex_flag(capsys, write_graph):
     assert out1 == out2  # the two ends of the path are symmetric
     code, _, err = run(capsys, "repfun", path, "--vertex", "9")
     assert code == 2 and "out of range" in err
+
+
+def test_repfun_sparse_labels(capsys, write_graph):
+    code, out, err = run(capsys, "repfun", write_graph(SPARSE_LABELS), "--vertex", "2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "(z^1001*w^666 - z^1001 - z^1000 + z*w^667 - w^666 - z*w - w + 1)/"
+        "(z^1000*w^666 + z^1001 + z^1000 + z*w^666 + w^667 + 2*w^666 + z*w - z + w - 2)\n"
+    )
 
 
 def test_reciprocal(capsys, write_graph):

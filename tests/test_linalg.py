@@ -13,8 +13,8 @@ from graphpick.gen import random_colored_graph
 from graphpick.graphs import ColoredGraph, colored_adjacency, general_color
 from graphpick.linalg import SymMatrix, determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
-from graphpick.ratfun import Polynomial, RatFun, _gcd_rec, parse_ratfun, poly_gcd
-from oracles import cofactor_determinant, cofactor_inverse_entry
+from graphpick.ratfun import Polynomial, RatFun, parse_ratfun, poly_gcd
+from oracles import cofactor_determinant, cofactor_inverse_entry, subresultant_gcd
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -352,14 +352,23 @@ def test_routing_between_integer_images_and_polynomials():
     assert linalg._integer_image(_upper(heavy)) is None
 
 
-def test_sparse_high_degree_input_stays_fast():
+@pytest.mark.parametrize(
+    "vertex, num",
+    [
+        (1, "-z^300000 - 3*z^200000*w - 3*z^100000*w^2 + 2*z^100000 - w^3 + 2*w"),
+        # the final gcd falls back to the primitive remainder sequence
+        (2, "-z^300000 - 3*z^200000*w - 3*z^100000*w^2 + z^100000 - w^3 + w"),
+    ],
+    ids=["vertex1", "vertex2"],
+)
+def test_sparse_high_degree_input_stays_fast(vertex, num):
     color = general_color(parse_ratfun("z^100000 + w"))
     g = ColoredGraph.build([color] * 4, [(1, 2), (2, 3), (3, 4)])
     start = time.process_time()
-    f = representing_function(g)
+    f = representing_function(g, vertex)
     assert time.process_time() - start < 1.0
     assert str(f) == (
-        "(-z^300000 - 3*z^200000*w - 3*z^100000*w^2 + 2*z^100000 - w^3 + 2*w)/"
+        f"({num})/"
         "(z^400000 + 4*z^300000*w + 6*z^200000*w^2 - 3*z^200000 + 4*z^100000*w^3"
         " - 6*z^100000*w + w^4 - 3*w^2 + 1)"
     )
@@ -572,7 +581,7 @@ def test_image_gcd_bounds_every_common_factor(monkeypatch):
             inverse_entry(m, g.root, g.root % n + 1)
     shared = 0
     for num, den, unpack in pairs:
-        if not _gcd_rec(unpack(num), unpack(den)).is_constant:
+        if not subresultant_gcd(unpack(num), unpack(den)).is_constant:
             shared += 1
             assert math.gcd(num, den) >= 1 << (_slot(unpack) - 1)
     assert shared >= 10
@@ -583,6 +592,14 @@ def test_image_gcd_reduction_divides_out_the_shared_content():
     m = SymMatrix.from_rows([[2 * z, 2], [2, 2 * w]])
     assert inverse_entry(m, 1) == rf(w, 2 * z * w - 2)
     assert str(inverse_entry(m, 1)) == "(w)/(2*z*w - 2)"
+
+
+def test_image_gcd_reduction_divides_out_a_factor_just_below_the_slot():
+    # the minors (z - 1)*w and (z - 1)*(z*w - 1) share z - 1, whose image
+    # X - 1 = 2^s - 1 is the image gcd and lies in [2^(s-1), 2^s): a
+    # threshold of 2^s would take the pair as coprime
+    m = SymMatrix(3, {(1, 1): z - 1, (2, 2): z, (2, 3): 1, (3, 3): w})
+    assert str(inverse_entry(m, 2)) == "(w)/(z*w - 1)"
 
 
 def test_inverse_entry_across_blocks_is_zero():

@@ -24,7 +24,7 @@ from graphpick.graphs import (
 )
 from graphpick.linalg import determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
-from graphpick.ratfun import LAM, RatFun, W, Z
+from graphpick.ratfun import LAM, RatFun, W, Z, parse_ratfun
 from oracles import (
     PRIME,
     Unlucky,
@@ -199,6 +199,23 @@ def test_tree_reduction_stays_fast():
     f = representing_function(g)
     assert time.process_time() - start < 1.0
     _agrees(rng, f, lambda p: _root_value(g, p))
+
+
+def test_sparse_labels_match_modular_oracle():
+    """Labels with degree gaps near 1000 send final gcds to ``_gcd_rec``.
+
+    On entry (2, 2), a pseudo-remainder padded to lc^(deg gap + 1) exceeds
+    the exponent cap.
+    """
+    labels = [general_color(parse_ratfun(s)) for s in ("0", "w^666 - 1", "z^1000 + w")]
+    g = ColoredGraph.build([Z_COLOR, *labels], [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    m = colored_adjacency(g)
+    rng = random.Random(61)
+    start = time.process_time()
+    entries = {(i, j): inverse_entry(m, i, j) for i in range(1, 5) for j in range(i, 5)}
+    assert time.process_time() - start < 5.0
+    for (i, j), f in entries.items():
+        _agrees(rng, f, lambda p, i=i, j=j: inverse_entry_mod(graph_matrix_mod(g, p), i, j))
 
 
 def test_retract_keeps_the_root_value_mod_p():

@@ -24,6 +24,7 @@ from graphpick.ratfun import (
     poly_lcm,
     ratfun_from_json,
 )
+from oracles import padded_prem, subresultant_gcd
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -176,8 +177,8 @@ def test_gcd_is_associate_multiplicative(a, b, g):
 
 
 def _gcd_oracle(a, b):
-    """The subresultant gcd alone, sign-normalized like _gcd_full."""
-    g = _gcd_rec(a, b)
+    """The subresultant gcd of the oracles, sign-normalized like _gcd_full."""
+    g = subresultant_gcd(a, b)
     return -g if g.leading_coefficient() < 0 else g
 
 
@@ -264,7 +265,7 @@ UNLUCKY_FIRST_XI = [
 
 def test_heuristic_gcd_retries_after_an_unlucky_xi(monkeypatch):
     def no_fallback(a, b):
-        raise AssertionError("the subresultant gcd was reached")
+        raise AssertionError("the fallback gcd was reached")
 
     monkeypatch.setattr(ratfun, "_gcd_rec", no_fallback)
     for a, b, gcd in UNLUCKY_FIRST_XI:
@@ -309,32 +310,44 @@ def test_heuristic_gcd_matches_sympy():
         assert ours in (theirs, -theirs)
 
 
-def test_subresultant_gcd_matches_sympy():
-    """The subresultant gcd alone, on cases that reach each of its branches."""
+# cases that reach each branch of the subresultant oracle
+GCD_CASES = [
+    # z-degree gaps of 2 or more: the h = g^delta / h^(delta - 1) update;
+    # in the first pair a wrong h makes a later division inexact
+    (
+        8 * z**7 + 2 * z**4 - z**3 + 4 * z**2 + 3 * z + 4,
+        2 * z**6 + 3 * z**5 - z**3 + 2 * z + 2,
+    ),
+    ((z**5 + w * z + 1) * (z * w - 1), (w * z**2 + 3) * (z * w - 1)),
+    ((w * z**6 + lam) * (z + w), ((w + 1) * z**3 - 2) * (z + w)),
+    # nontrivial contents in w and in lam
+    ((z * w + 1) * (w + 1) * (lam**2 + 3), (z - w) * (w + 1) ** 2 * (lam**2 + 3)),
+    (3 * (z + lam) * (w + 1) * (lam**2 + 3), 6 * (z**2 - w) * (lam**2 + 3)),
+    # no z: the recursion starts at w, or at lam
+    ((w**2 - lam) * (w + lam + 1), (w * lam - 2) * (w + lam + 1)),
+    ((lam**3 - 2) * (2 * lam + 4), 6 * (lam + 2) * (lam - 1)),
+    # one monomial operand
+    (3 * z**2 * w * lam, 6 * z**3 * lam**2 + 9 * z * w * lam),
+    (z * w, z + w),
+]
+
+
+def _matches_sympy(gcd):
     sympy = pytest.importorskip("sympy")
-    cases = [
-        # z-degree gaps of 2 or more: the h = g^delta / h^(delta - 1) update;
-        # in the first pair a wrong h makes a later division inexact
-        (
-            8 * z**7 + 2 * z**4 - z**3 + 4 * z**2 + 3 * z + 4,
-            2 * z**6 + 3 * z**5 - z**3 + 2 * z + 2,
-        ),
-        ((z**5 + w * z + 1) * (z * w - 1), (w * z**2 + 3) * (z * w - 1)),
-        ((w * z**6 + lam) * (z + w), ((w + 1) * z**3 - 2) * (z + w)),
-        # nontrivial contents in w and in lam
-        ((z * w + 1) * (w + 1) * (lam**2 + 3), (z - w) * (w + 1) ** 2 * (lam**2 + 3)),
-        (3 * (z + lam) * (w + 1) * (lam**2 + 3), 6 * (z**2 - w) * (lam**2 + 3)),
-        # no z: the recursion starts at w, or at lam
-        ((w**2 - lam) * (w + lam + 1), (w * lam - 2) * (w + lam + 1)),
-        ((lam**3 - 2) * (2 * lam + 4), 6 * (lam + 2) * (lam - 1)),
-        # one monomial operand
-        (3 * z**2 * w * lam, 6 * z**3 * lam**2 + 9 * z * w * lam),
-        (z * w, z + w),
-    ]
-    for a, b in cases:
+    for a, b in GCD_CASES:
         for x, y in ((a, b), (b, a)):
             want = sympy.gcd(_to_sympy(sympy, x), _to_sympy(sympy, y))
-            assert _to_sympy(sympy, _gcd_rec(x, y)) in (want, -want)
+            assert _to_sympy(sympy, gcd(x, y)) in (want, -want)
+
+
+def test_subresultant_gcd_matches_sympy():
+    """The subresultant oracle alone, on cases that reach each of its branches."""
+    _matches_sympy(subresultant_gcd)
+
+
+def test_primitive_gcd_matches_sympy():
+    """The primitive remainder sequence of ``_gcd_rec`` alone, on the same cases."""
+    _matches_sympy(_gcd_rec)
 
 
 @settings(max_examples=80, deadline=None)
@@ -347,10 +360,27 @@ def test_pseudo_remainder(a, b, var):
     if a.degree(var) < b.degree(var):
         a, b = b, a
     da, db = a.degree(var), b.degree(var)
-    r = _prem(a, b, var)
+    r = padded_prem(a, b, var)
     assert r.degree(var) < db
     lead = b.coefficients(var)[db]
     assert b.divides(lead ** (da - db + 1) * a - r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=5, max_exp=3),
+    polynomials(nonzero=True, max_terms=4),
+    st.sampled_from(VARIABLES),
+)
+def test_unpadded_pseudo_remainder(a, b, var):
+    """lc(b)^k * a - r is a multiple of b for a k no larger than the padding."""
+    if a.degree(var) < b.degree(var):
+        a, b = b, a
+    da, db = a.degree(var), b.degree(var)
+    r = _prem(a, b, var)
+    assert r.degree(var) < db
+    lead = b.coefficients(var)[db]
+    assert any(b.divides(lead**k * a - r) for k in range(da - db + 2))
 
 
 @pytest.mark.parametrize(
