@@ -58,7 +58,6 @@ from .sticks import (
     stick_determinants,
     stick_matrix,
     stick_recurrence,
-    stick_series_coefficients,
 )
 from .numcheck import SampleReport, eval_complex, pick_property_sample
 
@@ -110,7 +109,6 @@ __all__ = [
     "stick_determinants",
     "stick_matrix",
     "stick_recurrence",
-    "stick_series_coefficients",
     "SampleReport",
     "eval_complex",
     "pick_property_sample",

@@ -35,20 +35,8 @@ class Color:
         if (self.kind == "general") != (self.weight is not None):
             raise ValueError("general colors carry a weight; z/w colors do not")
 
-    def label(self) -> RatFun:
-        if self.kind == "z":
-            return Z
-        if self.kind == "w":
-            return W
-        return self.weight
-
     def diagonal(self) -> RatFun:
         return _DIAGONALS.get(self.kind) or -self.weight
-
-    def __str__(self):
-        if self.kind == "general":
-            return f"general({self.weight})"
-        return self.kind
 
 
 Z_COLOR = Color("z")

@@ -4,11 +4,10 @@ A Laurent series here is a truncated expansion sum_k c_k z^(-k) whose
 coefficients are rational functions of lam alone (plain rationals for walk
 series).  Negative orders carry the polynomial part.
 
-Every series comes from one fraction-free power-series division,
-``series_quotient``: it runs in polynomial arithmetic only and leaves the
-m-th coefficient as C_m / b0^(m+1), which is reduced once when the series
-is built.  The stick generating function in :mod:`graphpick.sticks` uses
-the same division.
+Every series comes from the one fraction-free power-series division in
+``expand_at_infinity``: it runs in polynomial arithmetic only and leaves
+the m-th coefficient as C_m / b0^(m+1), which is reduced once when the
+series is built.
 """
 
 from __future__ import annotations
@@ -91,26 +90,6 @@ def _empty_series(order: int) -> LaurentSeries:
     return LaurentSeries(order + 1, (), order)
 
 
-def series_quotient(a: list[Polynomial], b: list[Polynomial], count: int) -> list[Polynomial]:
-    """Fraction-free numerators of the power-series quotient a(u)/b(u).
-
-    Returns C_0..C_(count-1) with a/b = sum_m C_m u^m / b0^(m+1), from
-    C_m = a_m*b0^m - sum_(i=1..m) b_i*C_(m-i)*b0^(i-1): polynomial products
-    only, no division.  ``b[0]`` must be nonzero; missing a_m, b_i are 0.
-    """
-    b0 = b[0]
-    powers = [_P_ONE]
-    out: list[Polynomial] = []
-    for m in range(count):
-        acc = a[m] * powers[m] if m < len(a) else _P_ZERO
-        for i in range(1, min(m, len(b) - 1) + 1):
-            if b[i]:
-                acc = acc - b[i] * out[m - i] * powers[i - 1]
-        out.append(acc)
-        powers.append(powers[m] * b0)
-    return out
-
-
 def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     """Expand a rational function of (z, lam) in powers of 1/z.
 
@@ -129,12 +108,21 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     count = order - start + 1
     a = [num_prof.get(dp - m, _P_ZERO) for m in range(min(count, dp + 1))]
     b = [den_prof.get(dq - m, _P_ZERO) for m in range(min(count, dq + 1))]
-    coeffs: list[RatFun] = []
-    den = _P_ONE
-    for c in series_quotient(a, b, count):
-        den = den * b[0]
-        coeffs.append(RatFun(c, den))
-    return LaurentSeries(start, tuple(coeffs), order)
+    # a/b = sum_m C_m u^m / b0^(m+1) with C_m = a_m*b0^m - sum_(i=1..m)
+    # b_i*C_(m-i)*b0^(i-1): polynomial products only, no division until the
+    # one RatFun per coefficient; missing a_m, b_i are 0.
+    b0 = b[0]
+    powers = [_P_ONE]
+    out: list[Polynomial] = []
+    for m in range(count):
+        acc = a[m] * powers[m] if m < len(a) else _P_ZERO
+        for i in range(1, min(m, len(b) - 1) + 1):
+            if b[i]:
+                acc = acc - b[i] * out[m - i] * powers[i - 1]
+        out.append(acc)
+        powers.append(powers[m] * b0)
+    coeffs = tuple(RatFun(c, powers[m + 1]) for m, c in enumerate(out))
+    return LaurentSeries(start, coeffs, order)
 
 
 def walk_generating_series(

@@ -58,7 +58,7 @@ def verify_star_identity(g: ColoredGraph, h: ColoredGraph) -> IdentityReport:
     """
     product = star_product(g, h)
     lhs = reciprocal_transform(product)
-    g0 = -g.color(g.root).label()
+    g0 = g.color(g.root).diagonal()
     rhs = reciprocal_transform(g) + reciprocal_transform(h) - g0
     return IdentityReport(lhs, rhs, lhs == rhs)
 

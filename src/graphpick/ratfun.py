@@ -47,7 +47,8 @@ Algebra*, ch. 7), which ``_gcd_heu`` runs one variable at a time:
   their gcd, so an unlucky xi costs time, never a wrong answer.
 * Retries: up to ``_HEU_TRIES`` values of xi, each the last times
   73794/27011, are tried before ``_gcd_rec`` answers with a primitive
-  remainder sequence, whose contents come from this same heuristic.
+  remainder sequence, whose contents come from this same heuristic.  It
+  stops at a primitive divisor of degree one: the gcd, or coprime.
 * Sparse rule: when the lower of the two v-degrees, plus 1, exceeds
   ``_DIGITS_PER_TERM`` times the operands' term count, both images would
   be mostly zero digits, so ``_gcd_rec`` answers at once.
@@ -564,28 +565,23 @@ def _min_key(k1: int, k2: int) -> int:
 
 
 def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a._terms == b._terms:
-        return a
+    """gcd up to sign of unequal nonconstant a, b without a shared content or monomial factor."""
     da, db = a.max_degrees(), b.max_degrees()
-    var = next((v for v, ea, eb in zip(VARIABLES, da, db) if ea or eb), None)
-    if var is None:
-        return Polynomial.integer(math.gcd(a._terms[0], b._terms[0]))
-    if len(a._terms) == 1 or len(b._terms) == 1:
-        key = _min_key(_monomial_content(a), _monomial_content(b))
-        return Polynomial({key: math.gcd(a.content(), b.content())})
-
+    var = next(v for v, ea, eb in zip(VARIABLES, da, db) if ea or eb)
     ca = reduce(_gcd_heu, a.coefficients(var).values())
     cb = reduce(_gcd_heu, b.coefficients(var).values())
     a, b = a.exact_div(ca), b.exact_div(cb)
     c = _gcd_heu(ca, cb)
 
     big, small = (a, b) if a.degree(var) >= b.degree(var) else (b, a)
-    while small.degree(var):
+    while small.degree(var) > 1:
         r = _prem(big, small, var)
         if not r:
             return c * small
         big, small = small, r.exact_div(reduce(_gcd_heu, r.coefficients(var).values()))
-    return c
+    # small is primitive of degree at most one in var: it is 1, or it is
+    # either the gcd of big and small or coprime to big
+    return c * small if small.divides(big) else c
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Path-graph determinants: recurrence, direct elimination, generating function."""
+"""Path-graph determinants: the recurrence, cross-checked against elimination."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph, colored_adjacency
-from .laurent import series_quotient
 from .linalg import SymMatrix, determinant
 from .ratfun import Polynomial
 
@@ -40,13 +39,6 @@ def stick_recurrence(max_n: int) -> list[Polynomial]:
     return out
 
 
-def stick_series_coefficients(max_n: int) -> list[Polynomial]:
-    """Coefficients of the series expansion of 1/(1 + z*x + x^2) in x."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    return series_quotient([_P_ONE], [_P_ONE, _Z, _P_ONE], max_n + 1)
-
-
 @dataclass(frozen=True)
 class StickFamily:
     max_n: int
@@ -54,11 +46,9 @@ class StickFamily:
 
 
 def stick_determinants(max_n: int) -> StickFamily:
-    """T_0..T_max, cross-checked three ways before being returned."""
+    """T_0..T_max, cross-checked against elimination before being returned."""
     rec = stick_recurrence(max_n)
-    series = stick_series_coefficients(max_n)
     for n in range(max_n + 1):
-        direct = stick_determinant_direct(n)
-        if direct != rec[n] or series[n] != rec[n]:
+        if stick_determinant_direct(n) != rec[n]:
             raise AssertionError(f"stick determinant routes disagree at n={n}")
     return StickFamily(max_n, tuple(rec))

@@ -12,6 +12,9 @@ result with them at a few points is an identity test with no tolerance
 (Schwartz-Zippel) that stays fast on graphs far beyond the cofactor oracles.
 ``contact_order_oracle`` reads the contact order off the level curve's
 series at infinity instead of the closed-form degree count.
+``stick_series_coefficients`` reads the stick determinants off the series
+of the generating function 1/(1 + z*x + x^2), through its own copy of the
+fraction-free series division that :mod:`graphpick.laurent` runs.
 ``reference_colored_graph`` and ``reference_single_w_graph`` are the seeded
 graph generators of :mod:`graphpick.gen` as first written, which pin the
 random stream that the benchmark's job sets and the committed corpus are
@@ -32,6 +35,7 @@ from graphpick.laurent import expand_at_infinity, level_curve
 from graphpick.numcheck import eval_complex
 from graphpick.ratfun import (
     _P_ONE,
+    _P_ZERO,
     _SHIFTS,
     _VAR_INDEX,
     VARIABLES,
@@ -104,6 +108,34 @@ def contact_order_oracle(f: RatFun, order: int = 40) -> int:
         if c.degree("lam") > 0:
             return series.start_order + idx
     raise ValueError(f"no lam-dependent coefficient up to z^-{order}")
+
+
+def series_quotient(a: list[Polynomial], b: list[Polynomial], count: int) -> list[Polynomial]:
+    """Fraction-free numerators of the power-series quotient a(u)/b(u).
+
+    Returns C_0..C_(count-1) with a/b = sum_m C_m u^m / b0^(m+1), from
+    C_m = a_m*b0^m - sum_(i=1..m) b_i*C_(m-i)*b0^(i-1): polynomial products
+    only, no division.  ``b[0]`` must be nonzero; missing a_m, b_i are 0.
+    """
+    b0 = b[0]
+    powers = [_P_ONE]
+    out: list[Polynomial] = []
+    for m in range(count):
+        acc = a[m] * powers[m] if m < len(a) else _P_ZERO
+        for i in range(1, min(m, len(b) - 1) + 1):
+            if b[i]:
+                acc = acc - b[i] * out[m - i] * powers[i - 1]
+        out.append(acc)
+        powers.append(powers[m] * b0)
+    return out
+
+
+def stick_series_coefficients(max_n: int) -> list[Polynomial]:
+    """Coefficients of the series expansion of 1/(1 + z*x + x^2) in x."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    z = Polynomial.variable("z")
+    return series_quotient([_P_ONE], [_P_ONE, z, _P_ONE], max_n + 1)
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,8 @@ from graphpick.nevanlinna import (
 )
 from graphpick.numcheck import eval_complex, pick_property_sample
 from graphpick.ratfun import Polynomial, RatFun
-from graphpick.sticks import (
-    stick_determinant_direct,
-    stick_recurrence,
-    stick_series_coefficients,
-)
-from oracles import cofactor_inverse_entry, resolvent_oracle
+from graphpick.sticks import stick_determinant_direct, stick_recurrence
+from oracles import cofactor_inverse_entry, resolvent_oracle, stick_series_coefficients
 from sympy import QQ
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix

@@ -8,7 +8,7 @@ from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
 from graphpick.numcheck import pick_property_sample
 from graphpick.ratfun import LAM, Polynomial, RatFun
-from graphpick.sticks import stick_recurrence, stick_series_coefficients
+from graphpick.sticks import stick_recurrence
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -41,7 +41,6 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         (lambda: retract(PATH3, 2, [5]), ValueError, "subgraph vertex 5 out of range"),
         (lambda: distance(PATH3, 0, 1), ValueError, "vertex out of range"),
         (lambda: stick_recurrence(-1), ValueError, "nonnegative"),
-        (lambda: stick_series_coefficients(-1), ValueError, "nonnegative"),
         (lambda: pick_property_sample(PATH3, 0), ValueError, "count must be at least 1"),
         (lambda: pick_property_sample(PATH3, -5), ValueError, "count must be at least 1"),
         (
@@ -73,7 +72,6 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         "retract-subgraph",
         "distance-vertex",
         "stick-recurrence",
-        "stick-series",
         "sample-count-zero",
         "sample-count-negative",
         "graph-edge-id",

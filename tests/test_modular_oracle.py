@@ -13,6 +13,7 @@ import pytest
 from graphpick import linalg
 from graphpick.gen import random_colored_graph, random_retract_instance
 from graphpick.graphs import (
+    W_COLOR,
     Z_COLOR,
     ColoredGraph,
     colored_adjacency,
@@ -214,6 +215,23 @@ def test_sparse_labels_match_modular_oracle():
     start = time.process_time()
     entries = {(i, j): inverse_entry(m, i, j) for i in range(1, 5) for j in range(i, 5)}
     assert time.process_time() - start < 5.0
+    for (i, j), f in entries.items():
+        _agrees(rng, f, lambda p, i=i, j=j: inverse_entry_mod(graph_matrix_mod(g, p), i, j))
+
+
+def test_linear_divisor_ends_the_fallback_gcd():
+    """A content's remainder sequence in w ends at a linear divisor.
+
+    On entry (2, 2) it would otherwise pseudo-divide a two-term polynomial
+    of degree 1000 by that divisor, 1000 steps on large coefficients.
+    """
+    labels = [general_color(parse_ratfun(s)) for s in ("w^1000 + z", "z^500*w + 1")]
+    g = ColoredGraph.build([labels[0], W_COLOR, labels[1]], [(1, 2), (1, 3), (2, 3)])
+    m = colored_adjacency(g)
+    rng = random.Random(67)
+    start = time.process_time()
+    entries = {(i, j): inverse_entry(m, i, j) for i in range(1, 4) for j in range(i, 4)}
+    assert time.process_time() - start < 6.0
     for (i, j), f in entries.items():
         _agrees(rng, f, lambda p, i=i, j=j: inverse_entry_mod(graph_matrix_mod(g, p), i, j))
 

@@ -152,6 +152,17 @@ def test_star_identity_with_zero_graph():
     assert report.lhs == SQUARE_G
 
 
+def test_star_identity_with_a_general_root():
+    label = rf(z + 1, w - 2)
+    root = general_color(label)
+    g = ColoredGraph.build([root, "z", "w"], [(1, 2), (1, 3), (2, 3)])
+    h = ColoredGraph.build([root, "w"], [(1, 2)])
+    report = verify_star_identity(g, h)
+    assert report.equal
+    # the shared root's label counts once in the glued function, twice in the sum
+    assert report.lhs == reciprocal_transform(g) + reciprocal_transform(h) + label
+
+
 def test_star_identity_random():
     rng = random.Random(99)
     for _ in range(15):

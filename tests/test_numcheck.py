@@ -73,6 +73,23 @@ def test_pick_sample_random_graphs():
         assert pick_property_sample(g, count=200, seed=rng.randint(0, 10**6)).passed
 
 
+def _z_path(n):
+    return ColoredGraph.build(["z"] * n, [(v, v + 1) for v in range(1, n)])
+
+
+def test_pick_sample_on_the_80_path():
+    assert pick_property_sample(_z_path(80), count=200, seed=0).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="double-precision Horner on the expanded numerator and denominator "
+    "loses all accuracy on the all-z path from n = 100 on",
+)
+def test_pick_sample_on_the_100_path():
+    assert pick_property_sample(_z_path(100), count=200, seed=0).passed
+
+
 def test_pick_sample_rejects_general_colors():
     g = ColoredGraph.build(["z", general_color(rf(1, z))], [(1, 2)], 1)
     with pytest.raises(ValueError, match="Pick property not asserted"):

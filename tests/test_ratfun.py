@@ -287,6 +287,30 @@ def test_heuristic_gcd_falls_back_when_every_xi_fails(monkeypatch):
         assert calls
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    polynomials(nonzero=True, max_terms=5),
+    polynomials(nonzero=True, max_terms=5),
+    polynomials(nonzero=True, max_terms=3),
+    st.sampled_from([0, 1, ratfun._HEU_TRIES]),
+)
+def test_fallback_gcd_gets_only_what_the_heuristic_leaves(a, b, g, tries):
+    """``_gcd_rec`` gets unequal nonconstant operands, no shared content, no monomial factor."""
+
+    def spy(x, y):
+        assert math.gcd(x.content(), y.content()) == 1
+        assert ratfun._monomial_content(x) == ratfun._monomial_content(y) == 0
+        assert not x.is_constant and not y.is_constant
+        assert x != y
+        return _gcd_rec(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfun, "_gcd_rec", spy)
+        mp.setattr(ratfun, "_HEU_TRIES", tries)
+        got = _gcd_full(a * g, b * g)
+    assert got == _gcd_oracle(a * g, b * g)
+
+
 def _to_sympy(sympy, p):
     return sympy.Poly(sympy.sympify(str(p).replace("^", "**")), *sympy.symbols("z w lam"))
 

