@@ -26,7 +26,6 @@ from .graphs import (
     GraphFormatError,
     colored_adjacency,
     comb_product_z,
-    components,
     distance,
     graph_from_json,
     graph_to_json,
@@ -47,7 +46,6 @@ from .laurent import (
     LaurentSeries,
     contact_order,
     expand_at_infinity,
-    first_nonzero_order,
     level_curve,
     verify_contact_theorem,
     walk_generating_series,
@@ -83,7 +81,6 @@ __all__ = [
     "GraphFormatError",
     "colored_adjacency",
     "comb_product_z",
-    "components",
     "distance",
     "graph_from_json",
     "graph_to_json",
@@ -100,7 +97,6 @@ __all__ = [
     "LaurentSeries",
     "contact_order",
     "expand_at_infinity",
-    "first_nonzero_order",
     "level_curve",
     "verify_contact_theorem",
     "walk_generating_series",

@@ -216,42 +216,22 @@ def retract(
     return _renumber(recolored, [v for v in range(1, n + 1) if v not in ks], g.root)
 
 
-def _breadth_first(g: ColoredGraph, starts: Iterable[int]) -> list[dict[int, int]]:
-    """One search from each start that no earlier search reached.
-
-    Each search maps the vertices it reaches to their edge count from its start.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[int] = set()
-    searches = []
-    for start in starts:
-        if start in seen:
-            continue
-        dist = {start: 0}
-        queue = [start]
-        for v in queue:
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        seen.update(dist)
-        searches.append(dist)
-    return searches
-
-
 def distance(g: ColoredGraph, i: int, j: int) -> int | float:
     """Shortest-path edge count between vertices; inf when disconnected."""
     if not (1 <= i <= g.n and 1 <= j <= g.n):
         raise ValueError("vertex out of range")
-    return _breadth_first(g, [i])[0].get(j, float("inf"))
-
-
-def components(g: ColoredGraph) -> tuple[frozenset[int], ...]:
-    """Connected components, ordered by their smallest vertex."""
-    return tuple(frozenset(d) for d in _breadth_first(g, range(1, g.n + 1)))
+    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = {i: 0}
+    queue = [i]
+    for v in queue:
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist.get(j, float("inf"))
 
 
 # ----------------------------------------------------------------------

@@ -141,13 +141,6 @@ def walk_generating_series(
     return expand_at_infinity(inverse_entry(m, i, j), order)
 
 
-def first_nonzero_order(s: LaurentSeries) -> int:
-    for idx, c in enumerate(s.coefficients):
-        if not c.is_zero:
-            return s.start_order + idx
-    raise ValueError("order exceeds truncation")
-
-
 def _w_coefficients(f: RatFun) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
     """(alpha, beta, gamma, delta) with f = (alpha + beta*w)/(gamma + delta*w)."""
     if f.degree("lam") > 0:

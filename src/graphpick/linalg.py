@@ -83,7 +83,6 @@ from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, _sign_fix, poly_gcd, p
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
 _RF_ZERO = RatFun(0)
-_RF_ONE = RatFun(1)
 # Integer images are used while the box of digits they span is at most
 # _DIGITS_PER_TERM digits per term of B, and their digits at most this many
 # bits wide.
@@ -126,10 +125,6 @@ class SymMatrix:
             len(dense),
             {(i, j): e for i, row in enumerate(dense, 1) for j, e in enumerate(row[i - 1 :], i)},
         )
-
-    @classmethod
-    def identity(cls, n: int) -> SymMatrix:
-        return cls(n, {(i, i): _RF_ONE for i in range(1, n + 1)})
 
     def entry(self, i: int, j: int) -> RatFun:
         return self._rows[i].get(j, _RF_ZERO)

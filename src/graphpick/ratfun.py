@@ -152,13 +152,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
-    def constant_value(self) -> int:
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and 0 in self._terms:
-            return self._terms[0]
-        raise ValueError("polynomial is not constant")
-
     def terms(self) -> list[tuple[tuple[int, int, int], int]]:
         """Monomials with coefficients, graded-lex descending."""
         keys = sorted(self._terms, key=_grlex, reverse=True)

@@ -12,7 +12,6 @@ from graphpick.graphs import (
     Z_COLOR,
     colored_adjacency,
     comb_product_z,
-    components,
     distance,
     general_color,
     graph_from_json,
@@ -281,12 +280,6 @@ def test_distance():
     assert distance(CONTACT_GRAPH, 1, 5) == 2
     two = ColoredGraph.build(["z", "z"])
     assert distance(two, 1, 2) == float("inf")
-
-
-def test_components():
-    assert components(CONTACT_GRAPH) == (frozenset({1, 2, 3, 4, 5}),)
-    g = ColoredGraph.build(["z", "z", "w"], [(1, 2)], 1)
-    assert components(g) == (frozenset({1, 2}), frozenset({3}))
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,46 @@
+"""The package's public surface: its exports and README's library example."""
+
+import contextlib
+import io
+import re
+import types
+from pathlib import Path
+
+import graphpick
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_all_names_every_public_binding_once():
+    exported = graphpick.__all__
+    assert len(exported) == len(set(exported))
+    bound = {
+        name
+        for name, value in vars(graphpick).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(exported) == bound
+
+
+def test_readme_library_example_prints_its_comments():
+    """Each ``print(...)  # text`` line prints ``text``, or a line starting
+    with it when ``text`` ends in ``...``."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = []
+    for line in code.splitlines():
+        if line.startswith("print("):
+            match = re.search(r"\)\s+# (.*)$", line)
+            assert match, f"print without an output comment: {line}"
+            expected.append(match.group(1))
+    assert expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3])
+        else:
+            assert got == want
