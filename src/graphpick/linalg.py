@@ -9,7 +9,9 @@ and entries a step does not touch are rescaled lazily.  Where every
 eliminable diagonal entry is zero, a congruence and the next two steps make
 up a 2x2 block pivot.  The determinant keeps no index, a Schur complement
 keeps the requested block, and an inverse entry keeps its one or two indices
-and is one cofactor read off the block left, exact by Sylvester's identity.
+and is one cofactor read off the r x r block left, r = 1 included: the last
+pivot times the cofactor over the determinant, both divided by that pivot
+r - 1 times, exact by Sylvester's identity.
 
 A ``SymMatrix`` is built from one triangle and stores each entry's mirror
 itself; only ``SymMatrix.from_rows``, the dense entry point, compares
@@ -232,11 +234,7 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
                 c = Polynomial.integer(c)
                 p, q = p // c, q // c
             return RatFun._raw(*_sign_fix(p, q))
-        if num_scale is not _P_ONE:
-            p = p * num_scale
-        if den_scale is not _P_ONE:
-            q = q * den_scale
-        return RatFun(p, q)
+        return RatFun(p * num_scale, q * den_scale)
 
     # cell = [value, generation]; both triangles share one cell
     adj: dict[int, dict[int, list]] = {i: {} for i in rows}
@@ -327,12 +325,9 @@ def determinant(m: SymMatrix) -> RatFun:
 
 
 def _det(block: list[list]):
-    """Determinant of a square block of at most four rows, by Laplace expansion."""
-    if len(block) == 2:
-        (a, b), (c, d) = block
-        return a * d - b * c
-    if len(block) == 1:
-        return block[0][0]
+    """Determinant of a square block of at most four rows, by Laplace expansion; 1 if empty."""
+    if not block:
+        return 1
     minors = [[row[:k] + row[k + 1 :] for row in block[1:]] for k in range(len(block))]
     return sum((-1) ** k * e * _det(minors[k]) for k, e in enumerate(block[0]) if e)
 
@@ -344,24 +339,23 @@ def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
         raise ValueError(f"index ({i}, {j}) out of range for a {m.n}x{m.n} matrix")
     left, pivot, scale, _, quotient = eliminate(m, {i, j})
     # The entry is scale(i, j) * pivot * cof_ji(L) / det L, L the r x r block
-    # left.  Its indices off {i, j} span a zero block, so L is singular once
-    # they outnumber {i, j}.  By Sylvester's identity, det L and cof_ji(L) are
-    # pivot^(r-1) and pivot^(r-2) times minors of B, which fit the image.
+    # left, and the cofactor of a 1 x 1 block is 1.  Its indices off {i, j}
+    # span a zero block, so L is singular once they outnumber {i, j}.  By
+    # Sylvester's identity, pivot * cof_ji(L) and det L are pivot^(r-1) times
+    # minors of B, which fit the image, so both divide by pivot r - 1 times.
     order = sorted(left)
     block = [[left[a].get(b, 0) for b in order] for a in order]
     det = _det(block) if len(order) <= 2 * len({i, j}) else 0
     if not det:
         raise ValueError("singular colored matrix")
-    if len(order) == 1:
-        return quotient(pivot, det, num_scale=scale(i, i))
     a, b = order.index(j), order.index(i)
     cof = (-1) ** (a + b) * _det([row[:b] + row[b + 1 :] for k, row in enumerate(block) if k != a])
     if not cof:
         return _RF_ZERO
-    det //= pivot
-    for _ in range(len(order) - 2):
-        cof, det = cof // pivot, det // pivot
-    return quotient(cof, det, num_scale=scale(i, j))
+    num = pivot * cof
+    for _ in range(len(order) - 1):
+        num, det = num // pivot, det // pivot
+    return quotient(num, det, num_scale=scale(i, j))
 
 
 def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:

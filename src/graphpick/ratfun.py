@@ -290,19 +290,8 @@ class Polynomial:
         """Exact quotient self / d; raises ValueError when the division is inexact."""
         if d.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if not self._terms:
-            return _P_ZERO
         if d is _P_ONE or d._terms == {0: 1}:
             return self
-        if d.is_constant:
-            dc = d._terms[0]
-            out = {}
-            for k, c in self._terms.items():
-                q, r = divmod(c, dc)
-                if r:
-                    raise ValueError("inexact polynomial division")
-                out[k] = q
-            return Polynomial(out)
         # The leading remainder key comes off a max-heap of negated keys
         # (Monagan & Pearce 2007).  Every key pushed after a step is below the
         # key just divided out, so a popped key that is no longer in ``rem``
@@ -420,8 +409,6 @@ class Polynomial:
 
     def evaluate(self, z: complex, w: complex, lam: complex = 0j) -> complex:
         """Nested Horner evaluation at a complex point."""
-        if not self._terms:
-            return 0j
         tree: dict[int, dict[int, dict[int, int]]] = {}
         for k, c in self._terms.items():
             ez, ew, el = _unpack(k)
@@ -454,8 +441,10 @@ class Polynomial:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a constant hashes as the integer it equals
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            t = self._terms
+            self._hash = hash(t.get(0, 0) if self.is_constant else frozenset(t.items()))
         return self._hash
 
     def __bool__(self):
@@ -506,8 +495,6 @@ _P_VARS = (
 
 def _normalize_content_sign(p: Polynomial) -> Polynomial:
     """Divide out the integer content and make the leading coefficient positive."""
-    if p.is_zero:
-        return _P_ZERO
     c = p.content()
     if p.leading_coefficient() < 0:
         c = -c
@@ -692,8 +679,6 @@ def _cancel(x: Polynomial, y: Polynomial) -> tuple[Polynomial, Polynomial]:
     if _is_one(y):
         return x, y
     g = _gcd_full(x, y)
-    if _is_one(g):
-        return x, y
     return x.exact_div(g), y.exact_div(g)
 
 
@@ -744,8 +729,6 @@ class RatFun:
         if b._terms == d._terms:
             return RatFun(a + c, b)
         g = _gcd_full(b, d)
-        if _is_one(g):
-            return RatFun._raw(*_sign_fix(a * d + c * b, b * d))
         b1 = b.exact_div(g)
         d1 = d.exact_div(g)
         t = a * d1 + c * b1
@@ -845,7 +828,8 @@ class RatFun:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial over 1 hashes as the numerator it equals
+        return hash(self.num if self.den._terms == {0: 1} else (self.num, self.den))
 
     def __str__(self):
         if self.den._terms == {0: 1}:

@@ -10,6 +10,8 @@ oracles evaluate a matrix exactly at a random point modulo the prime
 2^61 - 1 and solve it there by Gaussian elimination; comparing a symbolic
 result with them at a few points is an identity test with no tolerance
 (Schwartz-Zippel) that stays fast on graphs far beyond the cofactor oracles.
+``at_gaussian`` evaluates a rational function exactly at a point of
+sympy's Gaussian rationals, for comparison with sympy's exact linear solves.
 ``contact_order_oracle`` reads the contact order off the level curve's
 series at infinity instead of the closed-form degree count.
 ``stick_series_coefficients`` reads the stick determinants off the series
@@ -29,6 +31,7 @@ import random
 from functools import reduce
 
 import numpy as np
+from sympy.polys.domains import QQ_I
 
 from graphpick.graphs import Color, ColoredGraph, W_COLOR, Z_COLOR
 from graphpick.laurent import expand_at_infinity, level_curve
@@ -94,6 +97,15 @@ def resolvent_oracle(g: ColoredGraph, k: int, z: complex, w: complex) -> complex
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"numerically singular colored matrix: {exc}") from exc
     return complex(x[k - 1])
+
+
+def at_gaussian(r: RatFun, zz, ww):
+    """r at (zz, ww, lam = 0) in sympy's Gaussian rationals QQ_I."""
+    num, den = (
+        sum((QQ_I(c) * zz**ez * ww**ew for (ez, ew, el), c in p.terms() if not el), QQ_I(0))
+        for p in (r.num, r.den)
+    )
+    return num / den
 
 
 def contact_order_oracle(f: RatFun, order: int = 40) -> int:

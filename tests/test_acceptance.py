@@ -35,7 +35,12 @@ from graphpick.nevanlinna import (
 from graphpick.numcheck import eval_complex, pick_property_sample
 from graphpick.ratfun import Polynomial, RatFun
 from graphpick.sticks import stick_determinant_direct, stick_recurrence
-from oracles import cofactor_inverse_entry, resolvent_oracle, stick_series_coefficients
+from oracles import (
+    at_gaussian,
+    cofactor_inverse_entry,
+    resolvent_oracle,
+    stick_series_coefficients,
+)
 from sympy import QQ
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -279,15 +284,6 @@ def test_criterion_8_pick_sampling():
                 assert value.imag == 0.0
 
 
-def _at_gaussian(r: RatFun, zz, ww):
-    """r at (zz, ww, lam = 0) in sympy's Gaussian rationals QQ_I."""
-    num, den = (
-        sum((QQ_I(c) * zz**ez * ww**ew for (ez, ew, el), c in p.terms() if not el), QQ_I(0))
-        for p in (r.num, r.den)
-    )
-    return num / den
-
-
 def test_criterion_8_pick_energy_identity():
     # x = A^-1 e_k gives conj(x)^T A x = conj(x_k); the adjacency part of the
     # form is real, so Im f = Im z * sum_z |x_v|^2 + Im w * sum_w |x_v|^2
@@ -309,13 +305,13 @@ def test_criterion_8_pick_energy_identity():
                 zz, ww = point(), point()
                 rows = [[QQ_I(0)] * n for _ in range(n)]
                 for v in range(1, n + 1):
-                    rows[v - 1][v - 1] = _at_gaussian(g.color(v).diagonal(), zz, ww)
+                    rows[v - 1][v - 1] = at_gaussian(g.color(v).diagonal(), zz, ww)
                 for i, j in g.edges:
                     rows[i - 1][j - 1] = rows[j - 1][i - 1] = QQ_I(1)
                 e_k = [[QQ_I(int(v == k))] for v in range(1, n + 1)]
                 a = DomainMatrix(rows, (n, n), QQ_I)
                 x = [xv for [xv] in a.lu_solve(DomainMatrix(e_k, (n, 1), QQ_I)).to_list()]
-                assert _at_gaussian(f, zz, ww) == x[k - 1]
+                assert at_gaussian(f, zz, ww) == x[k - 1]
                 energy = sum(
                     (
                         (xv.x**2 + xv.y**2) * (zz.y if g.color(v).kind == "z" else ww.y)

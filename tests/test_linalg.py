@@ -2,11 +2,12 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import QQ, Matrix
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from graphpick import linalg
 from graphpick.gen import random_colored_graph
@@ -14,7 +15,7 @@ from graphpick.graphs import ColoredGraph, colored_adjacency, general_color
 from graphpick.linalg import SymMatrix, determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
 from graphpick.ratfun import Polynomial, RatFun, parse_ratfun, poly_gcd
-from oracles import cofactor_determinant, cofactor_inverse_entry, subresultant_gcd
+from oracles import at_gaussian, cofactor_determinant, cofactor_inverse_entry, subresultant_gcd
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -302,29 +303,25 @@ def test_schur_consistency_random():
 
 
 def test_inverse_entry_matches_numeric_lu():
+    """Column 1 of the inverse equals sympy's exact LU solve at Gaussian-rational points."""
     rng = random.Random(5)
+
+    def point():
+        return QQ_I(
+            QQ(rng.randint(-24, 24), rng.randint(1, 8)), QQ(rng.randint(1, 24), rng.randint(1, 8))
+        )
+
     for m in (EDGE_ZW, SIX_VERTEX, CONTACT_FIVE):
         n = m.n
-        sym = inverse_entry(m, 1)
+        column = [inverse_entry(m, j, 1) for j in range(1, n + 1)]
         for _ in range(4):
-            zz = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
-            ww = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
-            numeric = np.array(
-                [
-                    [
-                        m.entry(i, j).num.evaluate(zz, ww)
-                        / m.entry(i, j).den.evaluate(zz, ww)
-                        for j in range(1, n + 1)
-                    ]
-                    for i in range(1, n + 1)
-                ],
-                dtype=complex,
+            zz, ww = point(), point()
+            a = DomainMatrix(
+                [[at_gaussian(e, zz, ww) for e in row] for row in m.rows], (n, n), QQ_I
             )
-            e1 = np.zeros(n, dtype=complex)
-            e1[0] = 1.0
-            want = np.linalg.solve(numeric, e1)[0]
-            got = sym.num.evaluate(zz, ww) / sym.den.evaluate(zz, ww)
-            assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+            e1 = DomainMatrix([[QQ_I(int(i == 1))] for i in range(1, n + 1)], (n, 1), QQ_I)
+            want = [x for [x] in a.lu_solve(e1).to_list()]
+            assert [at_gaussian(f, zz, ww) for f in column] == want
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ colored matrix at the same point without any ``graphpick.linalg`` code.
 """
 
 import random
+import signal
 import time
 
 import pytest
@@ -232,6 +233,47 @@ def test_linear_divisor_ends_the_fallback_gcd():
     start = time.process_time()
     entries = {(i, j): inverse_entry(m, i, j) for i in range(1, 4) for j in range(i, 4)}
     assert time.process_time() - start < 6.0
+    for (i, j), f in entries.items():
+        _agrees(rng, f, lambda p, i=i, j=j: inverse_entry_mod(graph_matrix_mod(g, p), i, j))
+
+
+class OverBudget(Exception):
+    """A test's process-time bound ran out."""
+
+
+def _raise_over_budget(signum, frame):
+    raise OverBudget
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverBudget,
+    reason="the final gcd of entry (3, 3) stalls in _gcd_rec's remainder sequence",
+)
+def test_sparse_label_gcd_stall():
+    """Every inverse entry of a 5-vertex sparse-label graph within 2 s of process time.
+
+    The nine entries with i <= 2 take milliseconds each, and each of the
+    other six runs past 2 s alone.  On entry (3, 3), ``_gcd_rec``
+    pseudo-divides a z-degree-100 dividend by a divisor whose lead has
+    w-degree near 2000, and ``_gcd_heu`` then takes the content of a
+    31,400-term remainder.
+    """
+    labels = [general_color(parse_ratfun(s)) for s in ("w^1000 + z", "z^100 + w")]
+    g = ColoredGraph.build(
+        [*labels, W_COLOR, W_COLOR, W_COLOR],
+        [(1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)],
+    )
+    m = colored_adjacency(g)
+    previous = signal.signal(signal.SIGPROF, _raise_over_budget)
+    signal.setitimer(signal.ITIMER_PROF, 2.0)
+    try:
+        entries = {(i, j): inverse_entry(m, i, j) for i in range(1, 6) for j in range(i, 6)}
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    rng = random.Random(71)
     for (i, j), f in entries.items():
         _agrees(rng, f, lambda p, i=i, j=j: inverse_entry_mod(graph_matrix_mod(g, p), i, j))
 

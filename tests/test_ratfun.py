@@ -51,6 +51,8 @@ def test_difference_of_squares():
 def test_zero_annihilates():
     p = w**3 * z - 2 * w**2
     assert Polynomial.zero() * p == Polynomial.zero()
+    assert Polynomial.zero().evaluate(1j, 2 - 1j, 3j) == 0j
+    assert ratfun._normalize_content_sign(Polynomial.zero()) == Polynomial.zero()
 
 
 def test_power_and_neg():
@@ -435,7 +437,10 @@ def test_sparse_high_degree_reduction_stays_fast(num, den, want):
 )
 def test_exact_division_recovers_the_cofactor(a, b):
     b = b * (z - 2 * w + lam + 1)
-    assert (a * b).exact_div(b) == a
+    # constant divisors and the zero dividend run the same loop
+    for d in (b, Polynomial.integer(2), Polynomial.integer(-3), Polynomial.integer(10**40)):
+        assert (a * d).exact_div(d) == a
+        assert Polynomial.zero().exact_div(d) == Polynomial.zero()
 
 
 @settings(max_examples=80, deadline=None)
@@ -464,6 +469,9 @@ def test_inexact_division_stops_early():
         (lam**3, z + lam),
         ((z - w) ** 4 * (z + 1) + 1, z - w),
         (2 * z + 1, Polynomial.integer(2)),
+        (6 * z * w - 4, Polynomial.integer(-3)),
+        (10**40 * z + 10**39, Polynomial.integer(10**40)),
+        (Polynomial.integer(10**41 + 1), Polynomial.integer(10**40)),
     ):
         with pytest.raises(ValueError):
             dividend.exact_div(divisor)
@@ -569,6 +577,10 @@ def test_star_sum_value():
         (w * w - 2) * (w * z - 1),
     )
     assert a + b == expected
+    # the denominators w^2 - 2 and w*z - 1 are coprime, as are z and w here
+    assert a.den * b.den == expected.den
+    assert str(rf(1, z) + rf(1, w)) == "(z + w)/(z*w)"
+    assert str(rf(1, z + 1) - rf(1, z - 1)) == "(-2)/(z^2 - 1)"
 
 
 def test_reciprocal_examples():
@@ -917,6 +929,29 @@ def test_latex():
 
 def test_module_constants():
     assert Z == rf(z) and W == rf(w) and LAM == rf(lam)
+
+
+def test_equal_values_hash_equal():
+    """Values that compare equal hash equal, so sets and dict keys agree with ==."""
+    groups = [
+        [0, Polynomial.zero(), RatFun(0), parse_polynomial("0")],
+        [1, one, RatFun(1), rf(z, z), parse_ratfun("(2)/(2)")],
+        [-3, Polynomial.integer(-3), rf(-6, 2), parse_polynomial("-3")],
+        [10**40, Polynomial.integer(10**40), RatFun(10**40)],
+        [z, parse_polynomial("z"), Z, rf(z * w, w)],
+        [z - w, rf(z * z - w * w, z + w), parse_ratfun("z - w")],
+        [rf(1, z), rf(2, 2 * z), parse_ratfun("1/z")],
+        [rf(z, w + 1), rf(-z, -w - 1)],
+        [rf(1, 2), rf(-3, -6)],
+    ]
+    for group in groups:
+        for a in group:
+            for b in group:
+                assert a == b and hash(a) == hash(b)
+        assert len(set(group)) == 1
+    assert len({x for group in groups for x in group}) == len(groups)
+    assert {1: "one"}[RatFun(1)] == "one"
+    assert {parse_polynomial("z"): "z"}[Z] == "z"
 
 
 def test_equality_matches_cross_multiplication():
