@@ -4,14 +4,20 @@ Every matrix here is symmetric, and every operation is a thin wrapper
 around one routine, :func:`eliminate`: symmetric fraction-free (Bareiss)
 elimination of every index outside a ``keep`` set, in min-degree order,
 after denominators are cleared by a diagonal scaling to a polynomial matrix
-B.  Every intermediate entry is a minor of B, so every division is exact,
-and entries a step does not touch are rescaled lazily.  Where every
-eliminable diagonal entry is zero, a congruence and the next two steps make
-up a 2x2 block pivot.  The determinant keeps no index, a Schur complement
-keeps the requested block, and an inverse entry keeps its one or two indices
-and is one cofactor read off the r x r block left, r = 1 included: the last
-pivot times the cofactor over the determinant, both divided by that pivot
-r - 1 times, exact by Sylvester's identity.
+B.  Every intermediate entry is a minor of B, so every division is exact.
+A step's work is inline arithmetic on cells that both triangles share: the
+pivot is one ``min`` over (row length, index) of the eliminable indices
+with a nonzero diagonal, its row is brought up to date once, and each pair
+of its neighbours takes one product, difference and exact division in
+place, after a lazy rescale if a step left the entry untouched.  Where
+every eliminable diagonal entry is zero, a congruence and the next two
+steps make up a 2x2 block pivot; only that congruence and the final read
+of the entries left go through the ``refresh`` and ``store`` helpers.  The
+determinant keeps no index, a Schur complement keeps the requested block,
+and an inverse entry keeps its one or two indices and is one cofactor read
+off the r x r block left, r = 1 included: the last pivot times the
+cofactor over the determinant, both divided by that pivot r - 1 times,
+exact by Sylvester's identity.
 
 A ``SymMatrix`` is built from one triangle and stores each entry's mirror
 itself; only ``SymMatrix.from_rows``, the dense entry point, compares
@@ -76,11 +82,10 @@ division is spelled ``//`` on both element types, so there is one loop.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import reduce
 from typing import Collection, Iterable, Sequence
 
-from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, _sign_fix, poly_gcd, poly_lcm
+from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, _is_one, _sign_fix, poly_gcd, poly_lcm
 
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
@@ -154,10 +159,13 @@ def _integer_image(b: dict[tuple[int, int], Polynomial]):
     degrees: dict[int, tuple[int, int, int]] = {}
     squares: dict[int, int] = {}
     for p, rows in rows_of.items():
-        pd, square = p.max_degrees(), p.one_norm() ** 2
-        for r, count in Counter(rows).items():
-            degrees[r] = tuple(map(max, degrees.get(r, pd), pd))
-            squares[r] = squares.get(r, 0) + count * square
+        square = p.one_norm() ** 2
+        for r in rows:
+            squares[r] = squares.get(r, 0) + square
+        pd = p.max_degrees()
+        if any(pd):  # a constant adds nothing to a row's degrees
+            for r in rows:
+                degrees[r] = tuple(map(max, old, pd)) if (old := degrees.get(r)) else pd
     box = [sum(row[v] for row in degrees.values()) for v in range(3)]
     if math.prod(d + 1 for d in box) > _DIGITS_PER_TERM * sum(map(len, b.values())):
         return None
@@ -195,18 +203,19 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
     minors of B; ``den`` defaults to the image of 1 and each scale to 1.
     """
     rows = m._rows
-    dens = {
-        i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
-        for i, row in rows.items()
-    }
-    c = reduce(poly_gcd, set(dens.values()), _P_ZERO)
-    cofactors = {i: d.exact_div(c) for i, d in dens.items()}
+    # with no denominators (each equal to 1 by value) B is the matrix of numerators
+    unit = all(_is_one(e.den) for row in rows.values() for e in row.values())
+    if not unit:
+        dens = {
+            i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
+            for i, row in rows.items()
+        }
+        c = reduce(poly_gcd, set(dens.values()), _P_ZERO)
+        cofactors = {i: d.exact_div(c) for i, d in dens.items()}
 
     def scale(i: int, j: int) -> Polynomial:
-        return dens[i] * cofactors[j]
+        return _P_ONE if unit else dens[i] * cofactors[j]
 
-    # with no denominators B is the matrix of numerators
-    unit = all(d is _P_ONE for d in dens.values())
     b = {
         (i, j): e.num if unit else e.num * dens[i].exact_div(e.den) * cofactors[j]
         for i, row in rows.items()
@@ -220,8 +229,7 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
         images, unpack, slot = image
         one = 1
         b = {ij: images[p] for ij, p in b.items()}
-        # the coprimality rule of the module docstring holds while every
-        # scale is 1
+        # the coprimality rule of the module docstring needs every scale 1
         half = 1 << (slot - 1) if unit else 0
 
     def quotient(num, den=one, num_scale=_P_ONE, den_scale=_P_ONE) -> RatFun:
@@ -259,51 +267,60 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
             adj[j][i] = cell
 
     for (i, j), value in b.items():
-        store(i, j, value, 0)
+        adj[i][j] = adj[j][i] = [value, 0]
 
     free = {v for v in adj if v not in keep}
     partner = None
     while True:
         gen = len(pivots) - 1
-        candidates = [v for v in free if v in adj[v]] if partner is None else [partner]
-        partner = None
-        if not candidates:
-            # Add row and column v to row and column u, for eliminable u, v
-            # with a_uv != 0.  This congruence keeps the Schur complement and
-            # sets a_uu = 2*a_uv; eliminating u, then v (whose diagonal is
-            # then -a_uv^2/prev), pivots on the block.  The entry bounds of
-            # the module docstring need v to come right after u.
+        prev = pivots[gen]
+        if partner is not None:
+            v, partner = partner, None
+        elif candidates := [(len(adj[u]), u) for u in free if u in adj[u]]:
+            v = min(candidates)[1]
+        else:
+            # Add row and column p = partner to row and column v, for
+            # eliminable v, p with a_vp != 0.  This congruence keeps the Schur
+            # complement and sets a_vv = 2*a_vp; eliminating v, then p (whose
+            # diagonal is then -a_vp^2/prev), pivots on the block.  The entry
+            # bounds of the module docstring need p to come right after v.
             pairs = [
                 (len(adj[u]) + len(adj[v]), u, v) for u in free for v in adj[u] if v in free
             ]
             if not pairs:
                 break
-            _, u, partner = min(pairs)
+            _, v, partner = min(pairs)
             for x in adj[partner]:
-                if x != u:
-                    store(u, x, (refresh(u, x, gen) or 0) + refresh(partner, x, gen), gen)
-            store(u, u, 2 * refresh(u, partner, gen), gen)
-            candidates = [u]
-        v = min(candidates, key=lambda u: (len(adj[u]), u))
-        pivot = refresh(v, v, gen)
-        prev = pivots[gen]
-        pivots.append(pivot)
-        nbrs = sorted(u for u in adj[v] if u != v)
-        column = {u: refresh(u, v, gen) for u in nbrs}
-        for a_idx, i in enumerate(nbrs):
-            col_i = column[i]
-            for j in nbrs[a_idx:]:
-                m_ij = refresh(i, j, gen)
-                fill = col_i * column[j]
-                if m_ij is None:
-                    new = -fill // prev
-                else:
-                    new = (m_ij * pivot - fill) // prev
-                store(i, j, new, gen + 1)
-        for u in nbrs:
-            del adj[u][v]
-        del adj[v]
+                if x != v:
+                    store(v, x, (refresh(v, x, gen) or 0) + refresh(partner, x, gen), gen)
+            store(v, v, 2 * refresh(v, partner, gen), gen)
+        row = adj.pop(v)
         free.discard(v)
+        pivot, g = row.pop(v)
+        if g < gen:
+            pivot = pivot * prev // pivots[g]
+        pivots.append(pivot)
+        # the pivot row, brought up to date once, as (index, value, row) triples
+        nbrs = []
+        for u in sorted(row):
+            value, g = row[u]
+            if g < gen:
+                value = value * prev // pivots[g]
+            del adj[u][v]
+            nbrs.append((u, value, adj[u]))
+        for k, (i, col_i, row_i) in enumerate(nbrs):
+            for j, col_j, row_j in nbrs[k:]:
+                cell = row_i.get(j)
+                if cell is None:
+                    row_i[j] = row_j[i] = [-(col_i * col_j) // prev, gen + 1]
+                    continue
+                value, g = cell
+                if g < gen:
+                    value = value * prev // pivots[g]
+                cell[0], cell[1] = (value * pivot - col_i * col_j) // prev, gen + 1
+                if not cell[0]:
+                    del row_i[j]
+                    row_j.pop(i, None)
 
     gen = len(pivots) - 1
     left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}
@@ -326,10 +343,14 @@ def determinant(m: SymMatrix) -> RatFun:
 
 def _det(block: list[list]):
     """Determinant of a square block of at most four rows, by Laplace expansion; 1 if empty."""
-    if not block:
-        return 1
-    minors = [[row[:k] + row[k + 1 :] for row in block[1:]] for k in range(len(block))]
-    return sum((-1) ** k * e * _det(minors[k]) for k, e in enumerate(block[0]) if e)
+    if len(block) < 2:
+        return block[0][0] if block else 1
+    total = 0
+    for k, e in enumerate(block[0]):
+        if e:
+            e *= _det([row[:k] + row[k + 1 :] for row in block[1:]])
+            total = total - e if k & 1 else total + e
+    return total
 
 
 def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:

@@ -386,22 +386,29 @@ class Polynomial:
         string, so the cost is linear in its size.
         """
         width = slot >> 3
-        rz, rzw = dz + 1, (dz + 1) * (dw + 1)
         half, full = 1 << (slot - 1), 1 << slot
         sign = -1 if value < 0 else 1
         value = abs(value)
         # every digit is below 2^(slot-1), so nothing carries out of the top one
         data = value.to_bytes(width * (value.bit_length() // slot + 1), "little")
+        # each digit's key steps from the last, z fastest; _pack checks the box's far corner
+        _pack(dz, dw, (len(data) // width - 1) // ((dz + 1) * (dw + 1)))
+        zlast, wnext = dz << 40, (1 << 20) - (dz << 40)
         out: dict[int, int] = {}
-        carry = 0
-        for e, at in enumerate(range(0, len(data), width)):
+        carry = key = 0
+        for at in range(0, len(data), width):
             d = int.from_bytes(data[at : at + width], "little") + carry
             carry = d >= half
             if carry:
                 d -= full
             if d:
-                ew, ez = divmod(e % rzw, rz)
-                out[_pack(ez, ew, e // rzw)] = sign * d
+                out[key] = sign * d
+            if key < zlast:
+                key += 1 << 40
+            elif (key >> 20) & _MASK < dw:
+                key += wnext
+            else:
+                key = (key & _MASK) + 1
         return cls(out)
 
     # ------------------------------------------------------------------

@@ -24,17 +24,26 @@ drawn from.  ``subresultant_gcd`` and ``padded_prem`` are the polynomial gcd
 that :mod:`graphpick.ratfun` used before its primitive remainder sequence: a
 subresultant sequence (Collins 1967; Brown & Traub 1971) that takes every
 content by its own recursion, so it shares no route with the heuristic gcd.
+``reference_eliminate`` is :func:`graphpick.linalg.eliminate` as it was
+before its updates were inlined: the same pivot order, block pivots, slot
+and box, with every entry read and written through the ``refresh`` and
+``store`` closures, packed by ``reference_integer_image`` and unpacked by
+``reference_from_kronecker``, which packs every digit's key with ``_pack``.
 """
 
 import math
 import random
+from collections import Counter
 from functools import reduce
+from typing import Collection
 
 import numpy as np
 from sympy.polys.domains import QQ_I
 
+from graphpick import linalg
 from graphpick.graphs import Color, ColoredGraph, W_COLOR, Z_COLOR
 from graphpick.laurent import expand_at_infinity, level_curve
+from graphpick.linalg import SymMatrix
 from graphpick.numcheck import eval_complex
 from graphpick.ratfun import (
     _P_ONE,
@@ -46,6 +55,10 @@ from graphpick.ratfun import (
     RatFun,
     _min_key,
     _monomial_content,
+    _pack,
+    _sign_fix,
+    poly_gcd,
+    poly_lcm,
 )
 
 
@@ -337,3 +350,204 @@ def subresultant_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         elif delta > 1:
             h = (g**delta).exact_div(h ** (delta - 1))
     return c * small.exact_div(reduce(subresultant_gcd, small.coefficients(var).values()))
+
+
+def reference_from_kronecker(value: int, slot: int, dz: int, dw: int) -> Polynomial:
+    """The polynomial whose ``to_kronecker`` image is ``value``.
+
+    Reads the balanced base-2^slot digits of ``value`` from one byte
+    string, so the cost is linear in its size.
+    """
+    width = slot >> 3
+    rz, rzw = dz + 1, (dz + 1) * (dw + 1)
+    half, full = 1 << (slot - 1), 1 << slot
+    sign = -1 if value < 0 else 1
+    value = abs(value)
+    # every digit is below 2^(slot-1), so nothing carries out of the top one
+    data = value.to_bytes(width * (value.bit_length() // slot + 1), "little")
+    out: dict[int, int] = {}
+    carry = 0
+    for e, at in enumerate(range(0, len(data), width)):
+        d = int.from_bytes(data[at : at + width], "little") + carry
+        carry = d >= half
+        if carry:
+            d -= full
+        if d:
+            ew, ez = divmod(e % rzw, rz)
+            out[_pack(ez, ew, e // rzw)] = sign * d
+    return Polynomial(out)
+
+
+def reference_integer_image(b: dict[tuple[int, int], Polynomial]):
+    """``(images, unpack, slot)`` of a Kronecker substitution injective on the entries.
+
+    ``b`` holds the upper triangle of B, ``images`` maps each distinct entry
+    to its image and ``slot`` is the digit width s.  Returns None when the
+    image would be mostly zero digits or its digits too wide; see the module
+    docstring.
+    """
+    # A dense z/w matrix has many positions but at most three distinct
+    # entries (1, -z and -w), so each is sized and packed once: rows_of maps
+    # an entry to the rows it sits in, once per position.
+    rows_of: dict[Polynomial, list[int]] = {}
+    for (i, j), p in b.items():
+        rows_of.setdefault(p, []).extend((i, j) if i != j else (i,))
+    degrees: dict[int, tuple[int, int, int]] = {}
+    squares: dict[int, int] = {}
+    for p, rows in rows_of.items():
+        pd, square = p.max_degrees(), p.one_norm() ** 2
+        for r, count in Counter(rows).items():
+            degrees[r] = tuple(map(max, degrees.get(r, pd), pd))
+            squares[r] = squares.get(r, 0) + count * square
+    box = [sum(row[v] for row in degrees.values()) for v in range(3)]
+    if math.prod(d + 1 for d in box) > linalg._DIGITS_PER_TERM * sum(map(len, b.values())):
+        return None
+    # Hadamard's bound on a minor of B, rounded up; an entry is a sum of at
+    # most four minors
+    bound = 4 * (1 + math.isqrt(math.prod(max(1, sq) for sq in squares.values()) - 1))
+    slot = -(-(bound.bit_length() + 2) // 8) * 8
+    if slot > linalg._MAX_SLOT:
+        return None
+    dz, dw, _ = box
+    return (
+        {p: p.to_kronecker(slot, dz, dw) for p in rows_of},
+        lambda x: reference_from_kronecker(x, slot, dz, dw),
+        slot,
+    )
+
+
+def reference_eliminate(m: SymMatrix, keep: Collection[int]):
+    """Eliminate every index outside ``keep`` from a symmetric matrix.
+
+    The matrix A is first scaled to the polynomial matrix B = D*A*D/c, with
+    d_i the lcm of the denominators in row i and c the gcd of all d_i.
+    Returns ``(left, pivot, scale, unpack, quotient)``: ``pivot`` is the
+    determinant of the eliminated block of B, ``scale(i, j)`` is d_i*d_j/c,
+    so that A_ij is B_ij / scale(i, j), and ``left`` holds the nonzero
+    fraction-free entries among the indices not eliminated: the Schur
+    complement entry (i, j) of A is ``left[i][j] / (pivot * scale(i, j))``.
+    Besides ``keep``, ``left`` holds eliminable indices only when the
+    eliminable block is singular, and then its Schur complement is zero
+    there.  ``pivot`` and the entries of ``left`` are images: ``unpack``
+    maps each to its polynomial, and ``+``, ``-``, ``*`` and exact ``//``
+    act on them.  ``quotient(num, den, num_scale, den_scale)`` is the
+    reduced ``RatFun`` of unpack(num) * num_scale over unpack(den) *
+    den_scale, for nonzero images num and den that are sums of at most four
+    minors of B; ``den`` defaults to the image of 1 and each scale to 1.
+    """
+    rows = m._rows
+    dens = {
+        i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
+        for i, row in rows.items()
+    }
+    c = reduce(poly_gcd, set(dens.values()), _P_ZERO)
+    cofactors = {i: d.exact_div(c) for i, d in dens.items()}
+
+    def scale(i: int, j: int) -> Polynomial:
+        return dens[i] * cofactors[j]
+
+    # with no denominators B is the matrix of numerators
+    unit = all(d is _P_ONE for d in dens.values())
+    b = {
+        (i, j): e.num if unit else e.num * dens[i].exact_div(e.den) * cofactors[j]
+        for i, row in rows.items()
+        for j, e in row.items()
+        if j >= i
+    }
+    image = reference_integer_image(b)
+    if image is None:
+        one, unpack, half = _P_ONE, lambda p: p, 0
+    else:
+        images, unpack, slot = image
+        one = 1
+        b = {ij: images[p] for ij, p in b.items()}
+        # the coprimality rule of the module docstring holds while every
+        # scale is 1
+        half = 1 << (slot - 1) if unit else 0
+
+    def quotient(num, den=one, num_scale=_P_ONE, den_scale=_P_ONE) -> RatFun:
+        p, q = unpack(num), unpack(den)
+        if half and math.gcd(num, den) < half:
+            # p and q share no factor of positive degree, so their gcd is
+            # the gcd of their contents
+            c = math.gcd(p.content(), q.content())
+            if c != 1:
+                c = Polynomial.integer(c)
+                p, q = p // c, q // c
+            return RatFun._raw(*_sign_fix(p, q))
+        return RatFun(p * num_scale, q * den_scale)
+
+    # cell = [value, generation]; both triangles share one cell
+    adj: dict[int, dict[int, list]] = {i: {} for i in rows}
+    pivots = [one]
+
+    def refresh(i: int, j: int, gen: int):
+        cell = adj[i].get(j)
+        if cell is None:
+            return None
+        if cell[1] < gen:
+            cell[0] = cell[0] * pivots[gen] // pivots[cell[1]]
+            cell[1] = gen
+        return cell[0]
+
+    def store(i: int, j: int, value, gen: int) -> None:
+        if not value:
+            adj[i].pop(j, None)
+            adj[j].pop(i, None)
+        else:
+            cell = [value, gen]
+            adj[i][j] = cell
+            adj[j][i] = cell
+
+    for (i, j), value in b.items():
+        store(i, j, value, 0)
+
+    free = {v for v in adj if v not in keep}
+    partner = None
+    while True:
+        gen = len(pivots) - 1
+        candidates = [v for v in free if v in adj[v]] if partner is None else [partner]
+        partner = None
+        if not candidates:
+            # Add row and column v to row and column u, for eliminable u, v
+            # with a_uv != 0.  This congruence keeps the Schur complement and
+            # sets a_uu = 2*a_uv; eliminating u, then v (whose diagonal is
+            # then -a_uv^2/prev), pivots on the block.  The entry bounds of
+            # the module docstring need v to come right after u.
+            pairs = [
+                (len(adj[u]) + len(adj[v]), u, v) for u in free for v in adj[u] if v in free
+            ]
+            if not pairs:
+                break
+            _, u, partner = min(pairs)
+            for x in adj[partner]:
+                if x != u:
+                    store(u, x, (refresh(u, x, gen) or 0) + refresh(partner, x, gen), gen)
+            store(u, u, 2 * refresh(u, partner, gen), gen)
+            candidates = [u]
+        v = min(candidates, key=lambda u: (len(adj[u]), u))
+        pivot = refresh(v, v, gen)
+        prev = pivots[gen]
+        pivots.append(pivot)
+        nbrs = sorted(u for u in adj[v] if u != v)
+        column = {u: refresh(u, v, gen) for u in nbrs}
+        for a_idx, i in enumerate(nbrs):
+            col_i = column[i]
+            for j in nbrs[a_idx:]:
+                m_ij = refresh(i, j, gen)
+                fill = col_i * column[j]
+                if m_ij is None:
+                    new = -fill // prev
+                else:
+                    new = (m_ij * pivot - fill) // prev
+                store(i, j, new, gen + 1)
+        for u in nbrs:
+            del adj[u][v]
+        del adj[v]
+        free.discard(v)
+
+    gen = len(pivots) - 1
+    left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}
+    return left, pivots[-1], scale, unpack, quotient
+
+

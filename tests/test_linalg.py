@@ -9,13 +9,19 @@ from sympy import QQ, Matrix
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from graphpick import linalg
+from graphpick import linalg, ratfun
 from graphpick.gen import random_colored_graph
 from graphpick.graphs import ColoredGraph, colored_adjacency, general_color
 from graphpick.linalg import SymMatrix, determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
 from graphpick.ratfun import Polynomial, RatFun, parse_ratfun, poly_gcd
-from oracles import at_gaussian, cofactor_determinant, cofactor_inverse_entry, subresultant_gcd
+from oracles import (
+    at_gaussian,
+    cofactor_determinant,
+    cofactor_inverse_entry,
+    reference_eliminate,
+    subresultant_gcd,
+)
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -371,9 +377,14 @@ def test_sparse_high_degree_input_stays_fast(vertex, num):
     )
 
 
-def _eliminated(m, keep):
-    left, pivot, _, unpack, _ = linalg.eliminate(m, keep)
-    return unpack(pivot), {i: {j: unpack(e) for j, e in row.items()} for i, row in left.items()}
+def _eliminated(m, keep, eliminate=linalg.eliminate):
+    """The pivot and the entries left, unpacked, with the scale of every entry left."""
+    left, pivot, scale, unpack, _ = eliminate(m, keep)
+    return (
+        unpack(pivot),
+        {i: {j: unpack(e) for j, e in row.items()} for i, row in left.items()},
+        {(i, j): scale(i, j) for i in left for j in left},
+    )
 
 
 def test_integer_images_match_polynomials(monkeypatch):
@@ -619,3 +630,76 @@ def test_zero_inverse_entries_on_both_routes(c):
     for i in range(1, 5):
         for j in range(i, 5):
             assert inverse_entry(m, i, j) == rf(int(inverse[i - 1, j - 1]))
+
+
+# ----------------------------------------------------------------------
+# the inlined elimination loop against the reference loop in oracles.py
+
+_DENOMINATORS = st.sampled_from((1, z + 1, 2 * w - 1))
+
+
+@st.composite
+def _elimination_cases(draw):
+    """A matrix of one of three kinds and a keep set of 0, 1, 2 or more indices.
+
+    z/w graphs have diagonal -z or -w and edges 1; general matrices have
+    entries with denominators; zero-diagonal matrices carry a path, so that
+    their steps are block pivots.
+    """
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("z/w graph", "general", "zero diagonal")))
+    entries = {}
+    for a in range(1, n + 1):
+        if kind == "z/w graph":
+            entries[a, a] = RatFun(draw(st.sampled_from((-z, -w))))
+        elif kind == "general" and draw(st.booleans()):
+            entries[a, a] = RatFun(draw(_POLYS), draw(_DENOMINATORS))
+        for b in range(a + 1, n + 1):
+            if (kind == "zero diagonal" and b == a + 1) or draw(st.booleans()):
+                general = kind == "general" and draw(st.booleans())
+                entries[a, b] = RatFun(draw(_POLYS), draw(_DENOMINATORS)) if general else RatFun(1)
+    size = min(n, draw(st.sampled_from((0, 1, 2, 3))))
+    keep = draw(st.sets(st.integers(1, n), min_size=size, max_size=size if size < 3 else n))
+    return SymMatrix(n, entries), keep
+
+
+@pytest.mark.parametrize("route", ["routed", "polynomials"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_elimination_cases())
+def test_eliminate_matches_the_reference_loop(route, case):
+    """Pivot, entries left and scales equal those of the loop before inlining."""
+    m, keep = case
+    with pytest.MonkeyPatch.context() as patch:
+        if route == "polynomials":
+            patch.setattr(linalg, "_DIGITS_PER_TERM", 0)
+        assert _eliminated(m, keep) == _eliminated(m, keep, reference_eliminate)
+
+
+def test_unit_denominators_are_checked_by_value(monkeypatch):
+    # z*w/w reduces to z over a denominator equal to 1 that is a new object
+    m = SymMatrix.from_rows([[RatFun(z * w, w), 1], [1, RatFun(w * w, w)]])
+    den = m.entry(1, 1).den
+    assert den == 1 and den is not Polynomial.one()
+    calls = []
+    gcd = ratfun._gcd_full
+    monkeypatch.setattr(ratfun, "_gcd_full", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    f = inverse_entry(m, 1)
+    # w/(z*w - 1) is coprime, and the images prove it without the gcd
+    assert calls == []
+    assert f == rf(w, z * w - 1)
+
+
+def test_a_real_denominator_keeps_the_scaled_route():
+    # One denominator: B = [[z, z + 1], [z + 1, z + 1]] and scale(2, 2) =
+    # (z + 1)^2.  Entry (2, 2) = -z*(z + 1) is read off z and -(z + 1), whose
+    # images are coprime; the coprimality rule, which drops the scales, would
+    # return -z/(z + 1).
+    rows = [[RatFun(z * w, w), 1], [1, RatFun(1, z + 1)]]
+    m = SymMatrix.from_rows(rows)
+    for keep in ((), {1}, {2}, {1, 2}):
+        assert _eliminated(m, keep) == _eliminated(m, keep, reference_eliminate)
+    _, _, scale, _, _ = linalg.eliminate(m, {2})
+    assert scale(2, 2) == (z + 1) ** 2
+    assert inverse_entry(m, 2) == rf(-z * (z + 1))
+    for i, j in ((1, 1), (1, 2), (2, 2)):
+        assert inverse_entry(m, i, j) == cofactor_inverse_entry(rows, i, j)
