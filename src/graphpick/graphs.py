@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import SymMatrix, inverse_entry
+from .linalg import SymMatrix, _in_range, inverse_entry
 from .ratfun import W, Z, RatFun, clipped_repr, ratfun_from_json
 
 _RF_ONE = RatFun(1)
@@ -62,7 +62,7 @@ class ColoredGraph:
         n = len(self.colors)
         if n == 0:
             raise ValueError("graph needs at least one vertex")
-        if not (1 <= self.root <= n):
+        if not _in_range(n, self.root):
             raise ValueError(f"root {self.root} out of range 1..{n}")
         for i, j in self.edges:
             if i == j:
@@ -188,14 +188,14 @@ def retract(
     """
     n = g.n
     ks = set(k_subgraph)
-    if not (1 <= cut <= n):
+    if not _in_range(n, cut):
         raise ValueError(f"cut vertex {cut} out of range")
     if cut in ks:
         raise ValueError("cut vertex must not be part of the deleted subgraph")
     if g.root in ks:
         raise ValueError("root must not be part of the deleted subgraph")
     for v in ks:
-        if not (1 <= v <= n):
+        if not _in_range(n, v):
             raise ValueError(f"subgraph vertex {v} out of range")
     for i, j in g.edges:
         if (i in ks) != (j in ks) and cut not in (i, j):
@@ -218,7 +218,7 @@ def retract(
 
 def distance(g: ColoredGraph, i: int, j: int) -> int | float:
     """Shortest-path edge count between vertices; inf when disconnected."""
-    if not (1 <= i <= g.n and 1 <= j <= g.n):
+    if not _in_range(g.n, i, j):
         raise ValueError("vertex out of range")
     adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
     for a, b in g.edges:

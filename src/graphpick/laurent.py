@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Z_COLOR, ColoredGraph, colored_adjacency, distance
-from .linalg import inverse_entry
+from .linalg import _in_range, inverse_entry
 from .nevanlinna import representing_function
 from .ratfun import Polynomial, RatFun
 
@@ -134,7 +134,7 @@ def walk_generating_series(
     from i to j.
     """
     n = g.n
-    if not (1 <= i <= n and 1 <= j <= n):
+    if not _in_range(n, i, j):
         raise ValueError("vertex out of range")
     # A - zI is the colored adjacency matrix of the all-z recoloring
     m = colored_adjacency(ColoredGraph((Z_COLOR,) * n, g.edges))

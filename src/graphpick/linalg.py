@@ -11,17 +11,17 @@ with a nonzero diagonal, its row is brought up to date once, and each pair
 of its neighbours takes one product, difference and exact division in
 place, after a lazy rescale if a step left the entry untouched.  Where
 every eliminable diagonal entry is zero, a congruence and the next two
-steps make up a 2x2 block pivot; only that congruence and the final read
-of the entries left go through the ``refresh`` and ``store`` helpers.  The
-determinant keeps no index, a Schur complement keeps the requested block,
-and an inverse entry keeps its one or two indices and is one cofactor read
-off the r x r block left, r = 1 included: the last pivot times the
-cofactor over the determinant, both divided by that pivot r - 1 times,
-exact by Sylvester's identity.
+steps make up a 2x2 block pivot: the congruence brings two rows up to date
+by the same rescale and adds one into the other in place.  The determinant
+keeps no index, a Schur complement keeps the requested block, and an
+inverse entry keeps its one or two indices and is one cofactor read off the
+r x r block left, r = 1 included: the last pivot times the cofactor over
+the determinant, both divided by that pivot r - 1 times, exact by
+Sylvester's identity.
 
-A ``SymMatrix`` is built from one triangle and stores each entry's mirror
-itself; only ``SymMatrix.from_rows``, the dense entry point, compares
-entries with their mirrors.
+A ``SymMatrix`` stores the one triangle it is built from, each entry once;
+only ``SymMatrix.from_rows``, the dense entry point, compares entries with
+their mirrors.
 
 The elimination runs on integers.  B is packed once by the Kronecker
 substitution z -> X = 2^s, w -> X^(D_z+1), lam -> X^((D_z+1)(D_w+1))
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import chain
 from typing import Collection, Iterable, Sequence
 
 from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, _is_one, _sign_fix, poly_gcd, poly_lcm
@@ -96,29 +97,40 @@ _RF_ZERO = RatFun(0)
 _MAX_SLOT = 256
 
 
+def _in_range(n: int, *ks) -> bool:
+    """Whether every k is a 1-based index of n rows or vertices; every index check uses it."""
+    index = range(1, n + 1)
+    for k in ks:
+        if k not in index:
+            return False
+    return True
+
+
 class SymMatrix:
     """Sparse symmetric n x n matrix of rational functions; indices are 1-based.
 
     Built from ``{(i, j): entry}`` over one triangle, i <= j, each entry a
-    ``RatFun`` or anything ``RatFun(entry)`` takes; each nonzero entry is
-    stored with its mirror.  ``from_rows`` is the dense entry point.
+    ``RatFun`` or anything ``RatFun(entry)`` takes; stores that triangle and
+    reads (i, j) and (j, i) alike.  ``from_rows`` is the dense entry point.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_entries")
 
     def __init__(self, n: int, entries: dict[tuple[int, int], RatFun]):
-        # index -> {index: nonzero entry}, both triangles
-        rows: dict[int, dict[int, RatFun]] = {i: {} for i in range(1, n + 1)}
+        # each distinct index once, not once per entry
+        if not _in_range(n, *set(chain.from_iterable(entries))):
+            bad = next(ij for ij in entries if not _in_range(n, *ij))
+            raise ValueError(f"matrix index {bad} out of range for a {n}x{n} matrix")
+        # (i, j) with i <= j -> nonzero entry
+        stored: dict[tuple[int, int], RatFun] = {}
         for (i, j), e in entries.items():
-            if i not in rows or j not in rows:
-                raise ValueError(f"matrix index ({i}, {j}) out of range for a {n}x{n} matrix")
             if i > j:
                 raise ValueError(f"matrix index ({i}, {j}) is below the diagonal")
             e = e if isinstance(e, RatFun) else RatFun(e)
             if e:
-                rows[i][j] = rows[j][i] = e
+                stored[i, j] = e
         self.n = n
-        self._rows = rows
+        self._entries = stored
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> SymMatrix:
@@ -134,12 +146,18 @@ class SymMatrix:
         )
 
     def entry(self, i: int, j: int) -> RatFun:
-        return self._rows[i].get(j, _RF_ZERO)
+        if not _in_range(self.n, i, j):
+            raise ValueError(f"index ({i}, {j}) out of range for a {self.n}x{self.n} matrix")
+        return self._at(i, j)
+
+    def _at(self, i: int, j: int) -> RatFun:
+        return self._entries.get((i, j) if i <= j else (j, i), _RF_ZERO)
 
     @property
     def rows(self) -> tuple[tuple[RatFun, ...], ...]:
         """Dense view, row by row."""
-        return tuple(tuple(self.entry(i, j) for j in self._rows) for i in self._rows)
+        index = range(1, self.n + 1)
+        return tuple(tuple(self._at(i, j) for j in index) for i in index)
 
 
 def _integer_image(b: dict[tuple[int, int], Polynomial]):
@@ -202,14 +220,16 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
     den_scale, for nonzero images num and den that are sums of at most four
     minors of B; ``den`` defaults to the image of 1 and each scale to 1.
     """
-    rows = m._rows
+    entries = m._entries
+    index = range(1, m.n + 1)
     # with no denominators (each equal to 1 by value) B is the matrix of numerators
-    unit = all(_is_one(e.den) for row in rows.values() for e in row.values())
+    unit = all(_is_one(e.den) for e in entries.values())
     if not unit:
-        dens = {
-            i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
-            for i, row in rows.items()
-        }
+        row_dens = {i: set() for i in index}
+        for (i, j), e in entries.items():
+            row_dens[i].add(e.den)
+            row_dens[j].add(e.den)
+        dens = {i: reduce(poly_lcm, ds - {_P_ONE}, _P_ONE) for i, ds in row_dens.items()}
         c = reduce(poly_gcd, set(dens.values()), _P_ZERO)
         cofactors = {i: d.exact_div(c) for i, d in dens.items()}
 
@@ -218,9 +238,7 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
 
     b = {
         (i, j): e.num if unit else e.num * dens[i].exact_div(e.den) * cofactors[j]
-        for i, row in rows.items()
-        for j, e in row.items()
-        if j >= i
+        for (i, j), e in entries.items()
     }
     image = _integer_image(b)
     if image is None:
@@ -245,29 +263,10 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
         return RatFun(p * num_scale, q * den_scale)
 
     # cell = [value, generation]; both triangles share one cell
-    adj: dict[int, dict[int, list]] = {i: {} for i in rows}
-    pivots = [one]
-
-    def refresh(i: int, j: int, gen: int):
-        cell = adj[i].get(j)
-        if cell is None:
-            return None
-        if cell[1] < gen:
-            cell[0] = cell[0] * pivots[gen] // pivots[cell[1]]
-            cell[1] = gen
-        return cell[0]
-
-    def store(i: int, j: int, value, gen: int) -> None:
-        if not value:
-            adj[i].pop(j, None)
-            adj[j].pop(i, None)
-        else:
-            cell = [value, gen]
-            adj[i][j] = cell
-            adj[j][i] = cell
-
+    adj: dict[int, dict[int, list]] = {i: {} for i in index}
     for (i, j), value in b.items():
         adj[i][j] = adj[j][i] = [value, 0]
+    pivots = [one]
 
     free = {v for v in adj if v not in keep}
     partner = None
@@ -290,10 +289,19 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
             if not pairs:
                 break
             _, v, partner = min(pairs)
-            for x in adj[partner]:
+            # bring rows v and partner up to date as a pivot row is, then add
+            # row partner into row v on the shared cells
+            for cell in (*adj[v].values(), *adj[partner].values()):
+                if cell[1] < gen:
+                    cell[0], cell[1] = cell[0] * prev // pivots[cell[1]], gen
+            row_v = adj[v]
+            for x, (value, _) in adj[partner].items():
                 if x != v:
-                    store(v, x, (refresh(v, x, gen) or 0) + refresh(partner, x, gen), gen)
-            store(v, v, 2 * refresh(v, partner, gen), gen)
+                    cell = row_v[x] = adj[x][v] = row_v.get(x) or [0, gen]
+                    cell[0] += value
+                    if not cell[0]:
+                        del row_v[x], adj[x][v]
+            row_v[v] = [2 * row_v[partner][0], gen]
         row = adj.pop(v)
         free.discard(v)
         pivot, g = row.pop(v)
@@ -322,9 +330,12 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
                     del row_i[j]
                     row_j.pop(i, None)
 
-    gen = len(pivots) - 1
-    left = {i: {j: refresh(i, j, gen) for j in adj[i]} for i in adj}
-    return left, pivots[-1], scale, unpack, quotient
+    gen, last = len(pivots) - 1, pivots[-1]
+    left = {
+        i: {j: x if g == gen else x * last // pivots[g] for j, (x, g) in row.items()}
+        for i, row in adj.items()
+    }
+    return left, last, scale, unpack, quotient
 
 
 def _identity(p: Polynomial) -> Polynomial:
@@ -356,7 +367,7 @@ def _det(block: list[list]):
 def inverse_entry(m: SymMatrix, i: int, j: int | None = None) -> RatFun:
     """Entry (i, j) of the matrix inverse, (i, i) by default; indices are 1-based."""
     j = i if j is None else j
-    if not (1 <= i <= m.n and 1 <= j <= m.n):
+    if not _in_range(m.n, i, j):
         raise ValueError(f"index ({i}, {j}) out of range for a {m.n}x{m.n} matrix")
     left, pivot, scale, _, quotient = eliminate(m, {i, j})
     # The entry is scale(i, j) * pivot * cof_ji(L) / det L, L the r x r block
@@ -388,7 +399,7 @@ def schur_reduce(m: SymMatrix, keep: Sequence[int]) -> SymMatrix:
     ks = sorted(set(keep))
     if not ks:
         raise ValueError("keep set must not be empty")
-    if ks[0] < 1 or ks[-1] > m.n:
+    if not _in_range(m.n, *ks):
         raise ValueError("keep set out of range")
     left, pivot, scale, _, quotient = eliminate(m, ks)
     if len(left) > len(ks):

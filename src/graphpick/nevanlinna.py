@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph, colored_adjacency, comb_product_z, retract, star_product
-from .linalg import inverse_entry
+from .linalg import _in_range, inverse_entry
 from .ratfun import RatFun
 
 
@@ -23,7 +23,7 @@ def representing_function(g: ColoredGraph, vertex: int | None = None) -> RatFun:
     Defaults to the graph root.
     """
     k = g.root if vertex is None else vertex
-    if not (1 <= k <= g.n):
+    if not _in_range(g.n, k):
         raise ValueError(f"vertex {k} out of range 1..{g.n}")
     return inverse_entry(colored_adjacency(g), k)
 

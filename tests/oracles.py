@@ -29,6 +29,7 @@ before its updates were inlined: the same pivot order, block pivots, slot
 and box, with every entry read and written through the ``refresh`` and
 ``store`` closures, packed by ``reference_integer_image`` and unpacked by
 ``reference_from_kronecker``, which packs every digit's key with ``_pack``.
+It reads the matrix through ``SymMatrix.entry``, not through its storage.
 """
 
 import math
@@ -435,7 +436,8 @@ def reference_eliminate(m: SymMatrix, keep: Collection[int]):
     den_scale, for nonzero images num and den that are sums of at most four
     minors of B; ``den`` defaults to the image of 1 and each scale to 1.
     """
-    rows = m._rows
+    index = range(1, m.n + 1)
+    rows = {i: {j: e for j in index if (e := m.entry(i, j))} for i in index}
     dens = {
         i: reduce(poly_lcm, {e.den for e in row.values()} - {_P_ONE}, _P_ONE)
         for i, row in rows.items()

@@ -28,17 +28,29 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         (lambda: SymMatrix.from_rows([[1, 0], [0]]), ValueError, "same length"),
         (lambda: SymMatrix(2, {(1, 1): "z"}), TypeError, "cannot interpret"),
         (lambda: SymMatrix(2, {(2, 1): 1}), ValueError, r"\(2, 1\) is below the diagonal"),
+        (lambda: IDENTITY2.entry(1, 99), ValueError, r"\(1, 99\) out of range for a 2x2"),
+        (lambda: IDENTITY2.entry(99, 1), ValueError, r"\(99, 1\) out of range for a 2x2"),
         (lambda: inverse_entry(IDENTITY2, 3), ValueError, "out of range for a 2x2"),
+        (lambda: inverse_entry(IDENTITY2, 1.5), ValueError, "out of range for a 2x2"),
         (lambda: schur_reduce(IDENTITY2, []), ValueError, "must not be empty"),
         (lambda: schur_reduce(IDENTITY2, [1, 3]), ValueError, "keep set out of range"),
+        (lambda: schur_reduce(IDENTITY2, [1, 1.5]), ValueError, "keep set out of range"),
         (lambda: walk_generating_series(PATH3, 1, 4, 5), ValueError, "vertex out of range"),
+        (lambda: walk_generating_series(PATH3, 1.5, 2, 5), ValueError, "vertex out of range"),
         (lambda: level_curve(LAM), ValueError, "already depends on lam"),
         (lambda: contact_order(LAM), ValueError, "already depends on lam"),
         (lambda: contact_order(RatFun(w * w, z)), ValueError, "multiple w-vertices unsupported"),
         (lambda: contact_order(RatFun(1, z)), ValueError, "cannot solve for w"),
         (lambda: retract(PATH3, 4, [3]), ValueError, "cut vertex 4 out of range"),
         (lambda: retract(PATH3, 2, [5]), ValueError, "subgraph vertex 5 out of range"),
+        (lambda: retract(PATH3, 2, [2.5]), ValueError, r"subgraph vertex 2\.5 out of range"),
         (lambda: distance(PATH3, 0, 1), ValueError, "vertex out of range"),
+        (lambda: distance(PATH3, 1, 2.5), ValueError, "vertex out of range"),
+        (
+            lambda: ColoredGraph(PATH3.colors, PATH3.edges, root=1.5),
+            ValueError,
+            r"root 1\.5 out of range 1\.\.3",
+        ),
         (lambda: stick_recurrence(-1), ValueError, "nonnegative"),
         (lambda: pick_property_sample(PATH3, 0), ValueError, "count must be at least 1"),
         (lambda: pick_property_sample(PATH3, -5), ValueError, "count must be at least 1"),
@@ -48,6 +60,11 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
             r"edges\[0\]: vertex id out of range 1\.\.1",
         ),
         (lambda: representing_function(PATH3, 4), ValueError, r"vertex 4 out of range 1\.\.3"),
+        (
+            lambda: representing_function(PATH3, 1.5),
+            ValueError,
+            r"vertex 1\.5 out of range 1\.\.3",
+        ),
     ],
     ids=[
         "unknown-variable",
@@ -58,22 +75,31 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         "ragged-rows",
         "sym-matrix-entry-type",
         "sym-matrix-below-diagonal",
+        "sym-matrix-entry-column",
+        "sym-matrix-entry-row",
         "inverse-entry-index",
+        "inverse-entry-fractional-index",
         "schur-empty-keep",
         "schur-keep-range",
+        "schur-keep-fractional",
         "walk-vertex",
+        "walk-fractional-vertex",
         "level-curve-lam",
         "contact-order-lam",
         "contact-order-w-degree",
         "contact-order-w-free",
         "retract-cut",
         "retract-subgraph",
+        "retract-fractional-subgraph",
         "distance-vertex",
+        "distance-fractional-vertex",
+        "graph-fractional-root",
         "stick-recurrence",
         "sample-count-zero",
         "sample-count-negative",
         "graph-edge-id",
         "repfun-vertex",
+        "repfun-fractional-vertex",
     ],
 )
 def test_input_check_raises(call, error, message):

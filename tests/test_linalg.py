@@ -156,9 +156,17 @@ def test_zero_diagonal_values():
     pair = SymMatrix.from_rows([[-z, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert inverse_entry(pair, 1) == rf(-1, z + 2)
     assert schur_reduce(pair, [1]).rows == ((rf(-z - 2),),)
-    for m in (three, pair):
-        for i in range(1, 4):
-            for j in range(1, 4):
+    # Block pivots whose congruence adds row 2 into row 1: it cancels entry
+    # (1, 3), creates entry (1, 3) where row 1 had none, and, after index 1
+    # is eliminated first, adds entry (3, 4) rescaled to the current step.
+    cancel = SymMatrix.from_rows([[0, 1, 1, 1], [1, 0, -1, 1], [1, -1, -z, 0], [1, 1, 0, -w]])
+    create = SymMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, -z]])
+    stale = SymMatrix.from_rows([[-z, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, -w]])
+    for m, keep in ((cancel, {3, 4}), (create, {3}), (stale, {4})):
+        assert _eliminated(m, keep) == _eliminated(m, keep, reference_eliminate)
+    for m in (three, pair, cancel, create, stale):
+        for i in range(1, m.n + 1):
+            for j in range(1, m.n + 1):
                 assert inverse_entry(m, i, j) == cofactor_inverse_entry(m.rows, i, j)
 
 
