@@ -8,6 +8,7 @@ coefficients, so it is real at real points wherever it is finite.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -54,8 +55,11 @@ def pick_property_sample(
 
     Draws ``count`` points of the upper-halfplane square, redrawing those
     that land too close to a pole, and records the worst imaginary part of
-    f_G seen there.
+    f_G seen there.  A value that is not finite stops the run: it means
+    the evaluation overflowed double precision, not that f_G has a pole.
     """
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not g.is_zw_colored():
@@ -76,6 +80,8 @@ def pick_property_sample(
             value = eval_complex(f, upper(), upper())
         except ValueError:
             continue
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValueError(f"evaluation overflowed double precision: f_G = {value}")
         drawn += 1
         worst_imag = min(worst_imag, value.imag)
     return SampleReport(count, worst_imag, seed, worst_imag >= -IMAG_TOL)

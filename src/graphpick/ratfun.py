@@ -20,6 +20,9 @@ polynomial back from the image's balanced base-2^slot digits.  The map is a ring
 homomorphism, one-to-one on polynomials whose degrees and coefficients fit
 the box and the slot, which is what lets ``linalg`` eliminate on integers.
 
+``evaluate`` runs Horner's rule along a plan that each polynomial builds
+once, with the exponent gaps taken and the coefficients made complex.
+
 Rational functions are quotients of two polynomials kept in a canonical
 reduced form: numerator and denominator coprime, and the denominator's
 leading coefficient positive under the term order.  Equality is therefore
@@ -106,13 +109,14 @@ def _grlex(key: int) -> tuple[int, int]:
 class Polynomial:
     """Integer-coefficient polynomial in z, w, lam with packed monomial keys."""
 
-    __slots__ = ("_terms", "_hash", "_degrees")
+    __slots__ = ("_terms", "_hash", "_degrees", "_plan")
 
     def __init__(self, terms: dict[int, int]):
         # terms maps packed monomial -> nonzero coefficient; not copied.
         self._terms = terms
         self._hash: int | None = None
         self._degrees: tuple[int, int, int] | None = None
+        self._plan: complex | tuple | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -415,28 +419,17 @@ class Polynomial:
     # evaluation
 
     def evaluate(self, z: complex, w: complex, lam: complex = 0j) -> complex:
-        """Nested Horner evaluation at a complex point."""
-        tree: dict[int, dict[int, dict[int, int]]] = {}
-        for k, c in self._terms.items():
-            ez, ew, el = _unpack(k)
-            tree.setdefault(ez, {}).setdefault(ew, {})[el] = c
+        """Nested Horner evaluation at a complex point.
+
+        The first call builds the polynomial's Horner plan (``_horner_plan``)
+        and keeps it, as a polynomial never changes; every call then runs
+        the same floating-point operations on the plan.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _horner_plan(self._terms)
         values = (complex(z), complex(w), complex(lam))
-
-        def horner(level: dict, depth: int) -> complex:
-            x = values[depth]
-            acc = 0j
-            prev = None
-            for e in sorted(level, reverse=True):
-                v = level[e]
-                val = complex(v) if depth == 2 else horner(v, depth + 1)
-                if prev is None:
-                    acc = val
-                else:
-                    acc = acc * x ** (prev - e) + val
-                prev = e
-            return acc * x**prev if prev else acc
-
-        return horner(tree, 0)
+        return plan if plan.__class__ is complex else _run_plan(plan, values)
 
     # ------------------------------------------------------------------
     # comparisons, hashing
@@ -498,6 +491,49 @@ _P_VARS = (
     Polynomial({_pack(0, 1, 0): 1}),
     Polynomial({_pack(0, 0, 1): 1}),
 )
+
+
+# ----------------------------------------------------------------------
+# Horner plans: the exponent tree unpacked, sorted and converted once, so
+# that evaluating at many points does only the floating-point work.  This is
+# the "adapted coefficients" idea of Knuth (TAOCP vol. 2, section 4.6.4),
+# preprocessing once for many evaluations, without changing the arithmetic.
+
+
+def _horner_plan(terms: dict[int, int]) -> complex | tuple:
+    """The plan of a polynomial, nested by z, then w, then lam."""
+    tree: dict[int, dict[int, dict[int, int]]] = {}
+    for k, c in terms.items():
+        ez, ew, el = _unpack(k)
+        tree.setdefault(ez, {}).setdefault(ew, {})[el] = c
+    return _plan_level(tree, 0) if tree else 0j
+
+
+def _plan_level(level: dict, depth: int) -> complex | tuple:
+    """``(depth, first, steps, last)`` for one variable's exponents, or a value.
+
+    ``first`` is the plan of the highest power's coefficient, ``steps`` the
+    ``(gap, sub)`` pairs of the lower ones, each gap the drop in exponent,
+    and ``last`` the lowest exponent.  A level whose only exponent is 0
+    evaluates to its coefficient, so it is replaced by that coefficient's
+    plan.
+    """
+    exps = sorted(level, reverse=True)
+    subs = [complex(level[e]) if depth == 2 else _plan_level(level[e], depth + 1) for e in exps]
+    if exps == [0]:
+        return subs[0]
+    steps = tuple((prev - e, sub) for prev, e, sub in zip(exps, exps[1:], subs[1:]))
+    return depth, subs[0], steps, exps[-1]
+
+
+def _run_plan(plan: tuple, values: tuple[complex, complex, complex]) -> complex:
+    """Horner's rule along a level's plan, at the point ``values`` = (z, w, lam)."""
+    depth, first, steps, last = plan
+    x = values[depth]
+    acc = first if first.__class__ is complex else _run_plan(first, values)
+    for gap, sub in steps:
+        acc = acc * x**gap + (sub if sub.__class__ is complex else _run_plan(sub, values))
+    return acc * x**last if last else acc
 
 
 def _normalize_content_sign(p: Polynomial) -> Polynomial:

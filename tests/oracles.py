@@ -30,6 +30,9 @@ and box, with every entry read and written through the ``refresh`` and
 ``store`` closures, packed by ``reference_integer_image`` and unpacked by
 ``reference_from_kronecker``, which packs every digit's key with ``_pack``.
 It reads the matrix through ``SymMatrix.entry``, not through its storage.
+``reference_evaluate`` is ``Polynomial.evaluate`` as it was before the
+Horner plan: it builds the exponent tree and sorts each level at every
+call, and its floating-point operations are the ones the plan must repeat.
 """
 
 import math
@@ -58,6 +61,7 @@ from graphpick.ratfun import (
     _monomial_content,
     _pack,
     _sign_fix,
+    _unpack,
     poly_gcd,
     poly_lcm,
 )
@@ -351,6 +355,31 @@ def subresultant_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         elif delta > 1:
             h = (g**delta).exact_div(h ** (delta - 1))
     return c * small.exact_div(reduce(subresultant_gcd, small.coefficients(var).values()))
+
+
+def reference_evaluate(p: Polynomial, z: complex, w: complex, lam: complex = 0j) -> complex:
+    """Nested Horner evaluation at a complex point."""
+    tree: dict[int, dict[int, dict[int, int]]] = {}
+    for k, c in p._terms.items():
+        ez, ew, el = _unpack(k)
+        tree.setdefault(ez, {}).setdefault(ew, {})[el] = c
+    values = (complex(z), complex(w), complex(lam))
+
+    def horner(level: dict, depth: int) -> complex:
+        x = values[depth]
+        acc = 0j
+        prev = None
+        for e in sorted(level, reverse=True):
+            v = level[e]
+            val = complex(v) if depth == 2 else horner(v, depth + 1)
+            if prev is None:
+                acc = val
+            else:
+                acc = acc * x ** (prev - e) + val
+            prev = e
+        return acc * x**prev if prev else acc
+
+    return horner(tree, 0)
 
 
 def reference_from_kronecker(value: int, slot: int, dz: int, dw: int) -> Polynomial:

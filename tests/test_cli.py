@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import graphpick
+from graphpick import numcheck
 from graphpick.cli import main
 from graphpick.graphs import graph_from_json
 from graphpick.ratfun import parse_ratfun, ratfun_from_json
@@ -249,6 +250,17 @@ def test_sample(capsys, write_graph):
     assert payload["samples"] == 100 and payload["seed"] == 4
     code, out2, _ = run(capsys, "sample", path, "--count", "100", "--seed", "4")
     assert out == out2
+
+
+def test_sample_overflow_is_an_error(capsys, monkeypatch, write_graph):
+    def overflowed(r, zz, ww, lam=0j):
+        return complex("nan+nanj")
+
+    monkeypatch.setattr(numcheck, "eval_complex", overflowed)
+    code, out, err = run(capsys, "sample", write_graph(CONTACT), "--count", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: evaluation overflowed double precision")
+    assert "Traceback" not in err
 
 
 def test_malformed_inputs_exit_two(capsys, tmp_path, write_graph):

@@ -54,6 +54,8 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         (lambda: stick_recurrence(-1), ValueError, "nonnegative"),
         (lambda: pick_property_sample(PATH3, 0), ValueError, "count must be at least 1"),
         (lambda: pick_property_sample(PATH3, -5), ValueError, "count must be at least 1"),
+        (lambda: pick_property_sample(PATH3, 1.5), ValueError, r"count must be an integer, got 1\.5"),
+        (lambda: pick_property_sample(PATH3, True), ValueError, "count must be an integer, got True"),
         (
             lambda: graph_from_json(EDGE_OUT_OF_RANGE),
             GraphFormatError,
@@ -97,6 +99,8 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         "stick-recurrence",
         "sample-count-zero",
         "sample-count-negative",
+        "sample-count-fractional",
+        "sample-count-bool",
         "graph-edge-id",
         "repfun-vertex",
         "repfun-fractional-vertex",

@@ -62,6 +62,20 @@ def test_pick_sample_gives_up_after_the_redraw_budget(monkeypatch):
     assert calls.count(False) == 0
 
 
+@pytest.mark.parametrize("bad", [complex("nan+nanj"), complex(0.0, float("-inf"))])
+def test_pick_sample_stops_on_a_non_finite_value(monkeypatch, bad):
+    # a value past double precision is an error, not a pole to redraw
+    values = [bad]
+
+    def overflowed_once(r, zz, ww, lam=0j):
+        return values.pop() if values else 1j
+
+    monkeypatch.setattr(numcheck, "eval_complex", overflowed_once)
+    with pytest.raises(ValueError, match="evaluation overflowed double precision"):
+        pick_property_sample(ColoredGraph.build(["z"]), count=5, seed=1)
+    assert not values
+
+
 def test_pick_sample_reciprocal_of_z():
     report = pick_property_sample(ColoredGraph.build(["z"]), count=500, seed=3)
     assert report.passed

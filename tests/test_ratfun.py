@@ -24,7 +24,15 @@ from graphpick.ratfun import (
     poly_lcm,
     ratfun_from_json,
 )
-from oracles import PRIME, Unlucky, at_random_points, padded_prem, ratfun_mod, subresultant_gcd
+from oracles import (
+    PRIME,
+    Unlucky,
+    at_random_points,
+    padded_prem,
+    ratfun_mod,
+    reference_evaluate,
+    subresultant_gcd,
+)
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -165,6 +173,50 @@ def polynomials(draw, max_terms=4, max_exp=2, nonzero=False):
     if nonzero and p.is_zero:
         p = p + draw(st.integers(1, 9))
     return p
+
+
+# exponents with gaps of 1 to 995, and 0 among them so that levels
+# collapse; coefficients beyond a double's 53-bit significand round
+_EVAL_EXPONENTS = st.sampled_from((0, 1, 2, 3, 5, 1000))
+_EVAL_COORDS = st.sampled_from((0.0, -0.0, 0.5, -1.25, 3.0)) | st.floats(-4, 4)
+_EVAL_POINTS = st.one_of(
+    st.just(0j),
+    st.builds(complex, _EVAL_COORDS),
+    st.builds(lambda y: complex(0.0, y), _EVAL_COORDS),
+    st.builds(complex, _EVAL_COORDS, _EVAL_COORDS),
+)
+
+
+def _evaluation(evaluate, p, point):
+    """The bits of a value, or the arithmetic error that stopped it."""
+    try:
+        value = evaluate(p, *point)
+    except ArithmeticError as exc:  # a power past a double's range overflows
+        return type(exc).__name__
+    return value.real.hex(), value.imag.hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.tuples(_EVAL_EXPONENTS, _EVAL_EXPONENTS, _EVAL_EXPONENTS),
+        st.integers(-(2**70), 2**70),
+        max_size=6,
+    ),
+    st.lists(st.tuples(_EVAL_POINTS, _EVAL_POINTS, _EVAL_POINTS), min_size=2, max_size=2),
+)
+@example({}, [(1j, 2 - 1j, 3j), (0j, 0j, 0j)])
+@example({(0, 0, 0): 7}, [(1j, 2.0, 0j), (0j, -0.0, 0j)])
+@example({(1000, 0, 0): 1, (0, 1, 0): 1}, [(0.5 + 0.5j, 3j, 0j), (1j, -1.25, 0j)])
+@example({(3, 1, 0): -2}, [(-0.0 + 2j, 0.5, 0j), (3.0, 1j, 0j)])
+@example({(1, 1, 0): 2, (0, 0, 1): -1, (0, 0, 0): 3}, [(1j, 2j, 0.5 - 1j), (0j, 1.0, 3j)])
+def test_evaluate_matches_the_reference_bit_for_bit(terms, points):
+    # the second point runs on the plan the first one built
+    p = Polynomial.from_terms(terms)
+    for point in points:
+        assert _evaluation(Polynomial.evaluate, p, point) == _evaluation(
+            reference_evaluate, p, point
+        )
 
 
 @settings(max_examples=60, deadline=None)
