@@ -90,9 +90,6 @@ class ColoredGraph:
     def color(self, v: int) -> Color:
         return self.colors[v - 1]
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def is_zw_colored(self) -> bool:
         return all(c.kind in ("z", "w") for c in self.colors)
 
@@ -313,6 +310,6 @@ def graph_to_json(g: ColoredGraph) -> dict:
         vertices.append({"id": v, "color": value})
     return {
         "vertices": vertices,
-        "edges": [[i, j] for i, j in g.sorted_edges()],
+        "edges": [[i, j] for i, j in sorted(g.edges)],
         "root": g.root,
     }

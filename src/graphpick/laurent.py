@@ -28,20 +28,19 @@ _RF_ZERO = RatFun(0)
 class LaurentSeries:
     """Truncated expansion at z = infinity.
 
-    ``coefficients[i]`` multiplies z^-(start_order + i); the list runs up
-    to (and including) truncation_order.  An all-zero truncated expansion
-    is stored with an empty coefficient list and start_order just past the
-    truncation.
+    ``coefficients[i]`` multiplies z^-(start_order + i); the last one is
+    the coefficient of z^-truncation_order, so ``truncation_order`` is not
+    stored but read off as start_order + len(coefficients) - 1.  An
+    all-zero truncated expansion has no coefficients and start_order just
+    past the truncation.
     """
 
     start_order: int
     coefficients: tuple[RatFun, ...]
-    truncation_order: int
 
-    def __post_init__(self):
-        expected = self.truncation_order - self.start_order + 1
-        if len(self.coefficients) != max(expected, 0):
-            raise ValueError("coefficient list does not match the order range")
+    @property
+    def truncation_order(self) -> int:
+        return self.start_order + len(self.coefficients) - 1
 
     def coefficient(self, k: int) -> RatFun:
         if k > self.truncation_order:
@@ -86,10 +85,6 @@ class LaurentSeries:
         }
 
 
-def _empty_series(order: int) -> LaurentSeries:
-    return LaurentSeries(order + 1, (), order)
-
-
 def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     """Expand a rational function of (z, lam) in powers of 1/z.
 
@@ -99,12 +94,12 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     if r.degree("w") > 0:
         raise ValueError("expected a function of z and lam only")
     if r.is_zero:
-        return _empty_series(order)
+        return LaurentSeries(order + 1, ())
     num_prof, den_prof = r.num.coefficients("z"), r.den.coefficients("z")
     dp, dq = max(num_prof), max(den_prof)
     start = dq - dp
     if start > order:
-        return _empty_series(order)
+        return LaurentSeries(order + 1, ())
     count = order - start + 1
     a = [num_prof.get(dp - m, _P_ZERO) for m in range(min(count, dp + 1))]
     b = [den_prof.get(dq - m, _P_ZERO) for m in range(min(count, dq + 1))]
@@ -122,7 +117,7 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
         out.append(acc)
         powers.append(powers[m] * b0)
     coeffs = tuple(RatFun(c, powers[m + 1]) for m, c in enumerate(out))
-    return LaurentSeries(start, coeffs, order)
+    return LaurentSeries(start, coeffs)
 
 
 def walk_generating_series(

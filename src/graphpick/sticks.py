@@ -41,7 +41,6 @@ def stick_recurrence(max_n: int) -> list[Polynomial]:
 
 @dataclass(frozen=True)
 class StickFamily:
-    max_n: int
     dets: tuple[Polynomial, ...]
 
 
@@ -51,4 +50,4 @@ def stick_determinants(max_n: int) -> StickFamily:
     for n in range(max_n + 1):
         if stick_determinant_direct(n) != rec[n]:
             raise AssertionError(f"stick determinant routes disagree at n={n}")
-    return StickFamily(max_n, tuple(rec))
+    return StickFamily(tuple(rec))

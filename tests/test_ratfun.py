@@ -155,6 +155,10 @@ def test_gcd_with_zero_normalizes():
 
 def test_lcm():
     assert poly_lcm(z * w, z + w) == z * w * (z + w)
+    with pytest.raises(ValueError):
+        poly_lcm(z, Polynomial.zero())
+    with pytest.raises(ValueError):
+        poly_lcm(Polynomial.zero(), z)
 
 
 @st.composite
@@ -766,6 +770,9 @@ def test_numeric_consistency_of_operations():
         (a - b, lambda x, y: x - y),
         (a * b, lambda x, y: x * y),
         (a / b, lambda x, y: x * pow(y, -1, PRIME)),
+        # an int on the left runs the reflected operators
+        (2 - a, lambda x, y: 2 - x),
+        (2 / b, lambda x, y: 2 * pow(y, -1, PRIME)),
     ]
 
     def check(point):
@@ -977,6 +984,7 @@ def test_json_roundtrip():
 def test_latex():
     assert rf(-1, z).latex() == "\\frac{-1}{z}"
     assert (2 * lam * z**3).latex() == "2 z^{3} \\lambda"
+    assert rf(2 * lam * z**3).latex() == "2 z^{3} \\lambda"
 
 
 def test_module_constants():

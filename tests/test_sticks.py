@@ -54,5 +54,4 @@ def test_parity():
 
 def test_family_is_validated_and_sized():
     family = stick_determinants(7)
-    assert family.max_n == 7
     assert len(family.dets) == 8
