@@ -55,7 +55,6 @@ from .laurent import (
 )
 from .sticks import (
     StickFamily,
-    stick_determinant_direct,
     stick_determinants,
     stick_matrix,
     stick_recurrence,

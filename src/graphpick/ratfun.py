@@ -835,8 +835,10 @@ class RatFun:
             raise ZeroDivisionError("reciprocal of the zero rational function")
         return RatFun._raw(*_sign_fix(self.den, self.num))
 
-    def substitute(self, var: str, value: RatFun) -> RatFun:
+    def substitute(self, var: str, value: RatFun | Polynomial | int) -> RatFun:
         """Exact composition self(var <- value) by homogenization."""
+        if (value := self._coerce(value)) is None:
+            raise TypeError("substitute needs a RatFun, Polynomial or int value")
         d = max(self.num.degree(var), self.den.degree(var))
         if d <= 0:
             return self

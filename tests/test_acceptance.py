@@ -24,7 +24,7 @@ from graphpick.laurent import (
     verify_contact_theorem,
     walk_generating_series,
 )
-from graphpick.linalg import inverse_entry, schur_reduce
+from graphpick.linalg import determinant, inverse_entry, schur_reduce
 from graphpick.nevanlinna import (
     reciprocal_transform,
     representing_function,
@@ -34,7 +34,7 @@ from graphpick.nevanlinna import (
 )
 from graphpick.numcheck import eval_complex, pick_property_sample
 from graphpick.ratfun import Polynomial, RatFun
-from graphpick.sticks import stick_determinant_direct, stick_recurrence
+from graphpick.sticks import stick_matrix, stick_recurrence
 from oracles import (
     at_gaussian,
     cofactor_inverse_entry,
@@ -259,7 +259,8 @@ def test_criterion_7_stick_determinants():
         series = stick_series_coefficients(20)
         assert rec[1] == -z and rec[2] == z * z - 1 and rec[0] == Polynomial.one()
         for n in range(21):
-            direct = stick_determinant_direct(n)
+            # T_0 = 1 is the empty determinant
+            direct = determinant(stick_matrix(n)).num if n else Polynomial.one()
             assert direct == rec[n] == series[n]
 
 

@@ -207,6 +207,7 @@ def test_walkgen(capsys, write_graph):
     # the order cap: the 3-path's largest degree is 2, 2^2126 has 640 digits and 2^2127 641
     vertices = [{"id": v, "color": "z"} for v in (1, 2, 3)]
     path = write_graph({"vertices": vertices, "edges": [[1, 2], [2, 3]], "root": 1}, "p3.json")
+    edge = write_graph(TWO_PATH, "edge.json")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -214,6 +215,11 @@ def test_walkgen(capsys, write_graph):
         assert code == 0 and out.endswith(" + O(z^-2128)\n")
         code, out, err = run(capsys, "walkgen", path, "--from", "2", "--to", "2", "--order", "2128")
         assert code == 2 and out == "" and "--order" in err
+        # every walk count of the one-edge graph is 0 or 1, and its order is capped as for degree 2
+        code, out, _ = run(capsys, "walkgen", edge, "--from", "1", "--to", "2", "--order", "2127")
+        assert code == 0 and out.endswith(" + O(z^-2128)\n")
+        code, out, err = run(capsys, "walkgen", edge, "--from", "1", "--to", "2", "--order", "2128")
+        assert code == 2 and out == "" and err.startswith("error: --order: ")
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -673,6 +673,11 @@ def test_substitute_missing_variable_is_identity():
 def test_substitute_shift():
     f = rf(-1, z)
     assert f.substitute("z", rf(z + 1)) == rf(-1, z + 1)
+    # an int or a Polynomial value is coerced as by the arithmetic operators
+    assert parse_ratfun("z+1").substitute("z", 2) == RatFun(3)
+    assert f.substitute("z", z + 1) == rf(-1, z + 1)
+    with pytest.raises(TypeError):
+        f.substitute("z", 2.0)
 
 
 def test_substitute_vanishing_denominator():

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
+from graphpick import sticks
+from graphpick.linalg import determinant
 from graphpick.ratfun import Polynomial, RatFun
 from graphpick.sticks import (
-    stick_determinant_direct,
     stick_determinants,
     stick_matrix,
     stick_recurrence,
@@ -41,7 +44,8 @@ def test_three_routes_agree_to_twenty():
     series = stick_series_coefficients(20)
     for n in range(21):
         assert rec[n] == series[n]
-        assert rec[n] == stick_determinant_direct(n)
+        # T_0 = 1 is the empty determinant
+        assert rec[n] == (determinant(stick_matrix(n)).num if n else Polynomial.one())
 
 
 def test_parity():
@@ -55,3 +59,39 @@ def test_parity():
 def test_family_is_validated_and_sized():
     family = stick_determinants(7)
     assert len(family.dets) == 8
+
+
+def test_stick_table_stays_fast():
+    """Two eliminations certify the table; one per row takes seconds at max 150."""
+    start = time.process_time()
+    stick_determinants(150)
+    assert time.process_time() - start < 1.0
+
+
+def test_a_wrong_recurrence_fails_the_check(monkeypatch):
+    def plus_recurrence(max_n):
+        out = [Polynomial.one(), -z]
+        for _ in range(2, max_n + 1):
+            out.append(-z * out[-1] + out[-2])
+        return out[: max_n + 1]
+
+    monkeypatch.setattr(sticks, "stick_recurrence", plus_recurrence)
+    with pytest.raises(AssertionError):
+        stick_determinants(7)
+
+
+def test_a_wrong_second_row_fails_the_check(monkeypatch):
+    """A table that obeys the recurrence with the right top row is caught at max - 1."""
+    max_n = 7
+    right = stick_recurrence(max_n)
+    # built downward with T_(n-2) = -z*T_(n-1) - T_n from T_max and T_(max-1) + 1
+    down = [right[max_n], right[max_n - 1] + 1]
+    for _ in range(max_n - 1):
+        down.append(-z * down[-1] - down[-2])
+    table = down[::-1]
+    assert all(table[n] == -z * table[n - 1] - table[n - 2] for n in range(2, max_n + 1))
+    assert table[max_n] == right[max_n] and table[max_n - 1] != right[max_n - 1]
+
+    monkeypatch.setattr(sticks, "stick_recurrence", lambda n: list(table))
+    with pytest.raises(AssertionError, match=f"n={max_n - 1}"):
+        stick_determinants(max_n)
