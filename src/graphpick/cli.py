@@ -26,7 +26,7 @@ from .graphs import (
     star_product,
 )
 from .laurent import verify_contact_theorem, walk_generating_series
-from .linalg import inverse_entry, schur_reduce
+from .linalg import _in_range, inverse_entry, schur_reduce
 from .nevanlinna import (
     reciprocal_transform,
     representing_function,
@@ -81,7 +81,7 @@ def _format_ratfun(f, fmt: str) -> None:
 
 
 def _vertex_arg(flag: str, v: int, g: ColoredGraph) -> int:
-    if not (1 <= v <= g.n):
+    if not _in_range(g.n, v):
         raise GraphFormatError(f"{flag}: {v} out of range 1..{g.n}")
     return v
 
@@ -278,7 +278,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

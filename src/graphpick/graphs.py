@@ -51,7 +51,9 @@ def general_color(weight: RatFun) -> Color:
 class ColoredGraph:
     """Rooted simple undirected graph with per-vertex colors.
 
-    ``edges`` holds pairs (i, j) with i < j; vertices are 1..len(colors).
+    The vertices are 1..n, n = len(colors), and a vertex is an exact ``int``
+    in that range (``True``, ``2.0`` and ``0`` are not): ``root`` is one, and
+    ``edges`` holds pairs (i, j) of them with i < j.
     """
 
     colors: tuple[Color, ...]
@@ -64,10 +66,12 @@ class ColoredGraph:
             raise ValueError("graph needs at least one vertex")
         if not _in_range(n, self.root):
             raise ValueError(f"root {self.root} out of range 1..{n}")
+        # _in_range's rule, inline: a call per edge would double the time it
+        # takes to build a graph, and the benchmark builds thousands
         for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (1 <= i < j <= n):
+            if not (i.__class__ is int is j.__class__ and 0 < i < j <= n):
+                if i == j:
+                    raise ValueError(f"self-loop at vertex {i}")
                 raise ValueError(f"edge ({i}, {j}) out of range or unordered")
 
     @classmethod
@@ -88,6 +92,8 @@ class ColoredGraph:
         return len(self.colors)
 
     def color(self, v: int) -> Color:
+        if not _in_range(self.n, v):
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
         return self.colors[v - 1]
 
     def is_zw_colored(self) -> bool:
@@ -96,7 +102,7 @@ class ColoredGraph:
 
 def colored_adjacency(g: ColoredGraph) -> SymMatrix:
     """Adjacency matrix with the color diagonal (-z, -w or -label)."""
-    entries = {(v, v): g.color(v).diagonal() for v in range(1, g.n + 1)}
+    entries = {(v, v): c.diagonal() for v, c in enumerate(g.colors, 1)}
     for i, j in g.edges:
         entries[i, j] = _RF_ONE
     return SymMatrix(g.n, entries)
@@ -143,7 +149,7 @@ def relabel(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
     ``perm[i-1]`` is the new index of vertex i; must be a bijection of 1..n.
     """
     n = g.n
-    if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
+    if len(perm) != n or not _in_range(n, *perm) or len(set(perm)) != n:
         raise ValueError("relabeling map is not a bijection of 1..n")
     return _renumber(g, sorted(range(1, n + 1), key=lambda v: perm[v - 1]), g.root)
 
@@ -169,7 +175,7 @@ def comb_product_z(g: ColoredGraph, h: ColoredGraph) -> ColoredGraph:
     """
     if h.color(h.root).kind != "z":
         raise ValueError("incompatible comb root")
-    return _attach(g, h, [v for v in range(1, g.n + 1) if g.color(v).kind == "z"])
+    return _attach(g, h, [v for v, c in enumerate(g.colors, 1) if c.kind == "z"])
 
 
 def retract(
@@ -266,7 +272,7 @@ def graph_from_json(obj: dict) -> ColoredGraph:
         if not isinstance(entry, dict):
             raise GraphFormatError(f"{where}: expected an object")
         vid = entry.get("id")
-        if not isinstance(vid, int) or isinstance(vid, bool) or not (1 <= vid <= n):
+        if not _in_range(n, vid):
             raise GraphFormatError(f"{where}.id: expected an integer in 1..{n}")
         if colors[vid - 1] is not None:
             raise GraphFormatError(f"{where}.id: duplicate id {vid}")
@@ -276,36 +282,29 @@ def graph_from_json(obj: dict) -> ColoredGraph:
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
         raise GraphFormatError("edges: expected a list of pairs")
-    seen = set()
-    pairs = []
+    pairs = set()
     for idx, e in enumerate(edges):
         where = f"edges[{idx}]"
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-        ):
+        if not isinstance(e, list) or len(e) != 2 or not all(v.__class__ is int for v in e):
             raise GraphFormatError(f"{where}: expected a pair of vertex ids")
         a, b = e
-        if not (1 <= a <= n and 1 <= b <= n):
+        if not _in_range(n, a, b):
             raise GraphFormatError(f"{where}: vertex id out of range 1..{n}")
         if a == b:
             raise GraphFormatError(f"{where}: self-loop at vertex {a}")
         key = (min(a, b), max(a, b))
-        if key in seen:
+        if key in pairs:
             raise GraphFormatError(f"{where}: duplicate edge {list(key)}")
-        seen.add(key)
-        pairs.append(key)
+        pairs.add(key)
     root = obj.get("root")
-    if not isinstance(root, int) or isinstance(root, bool) or not (1 <= root <= n):
+    if not _in_range(n, root):
         raise GraphFormatError(f"root: expected an integer in 1..{n}")
     return ColoredGraph(tuple(colors), frozenset(pairs), root)
 
 
 def graph_to_json(g: ColoredGraph) -> dict:
     vertices = []
-    for v in range(1, g.n + 1):
-        c = g.color(v)
+    for v, c in enumerate(g.colors, 1):
         value = c.kind if c.kind in ("z", "w") else c.weight.to_json()
         vertices.append({"id": v, "color": value})
     return {

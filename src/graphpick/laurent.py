@@ -58,12 +58,7 @@ class LaurentSeries:
         for idx, c in enumerate(self.coefficients):
             if c.is_zero:
                 continue
-            if c.den != _P_ONE:
-                ctext = str(c)
-            elif len(c.num) <= 1:
-                ctext = str(c.num)
-            else:
-                ctext = f"({c.num})"
+            ctext = f"({c.num})" if c.den == _P_ONE and len(c.num) > 1 else str(c)
             zk = power(self.start_order + idx)
             term = f"{ctext}*{zk}" if zk else ctext
             if not parts:
@@ -196,10 +191,10 @@ def verify_contact_theorem(g: ColoredGraph) -> ContactReport:
     Requires a graph with exactly one w-colored vertex, every other vertex
     colored z, and the w vertex reachable from the root.
     """
-    w_vertices = [v for v in range(1, g.n + 1) if g.color(v).kind == "w"]
+    w_vertices = [v for v, c in enumerate(g.colors, 1) if c.kind == "w"]
     if len(w_vertices) != 1:
         raise ValueError("expected exactly one w-colored vertex")
-    if any(g.color(v).kind == "general" for v in range(1, g.n + 1)):
+    if any(c.kind == "general" for c in g.colors):
         raise ValueError("general colors are outside the contact-order statement")
     wv = w_vertices[0]
     d = distance(g, g.root, wv)

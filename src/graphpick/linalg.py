@@ -98,10 +98,14 @@ _MAX_SLOT = 256
 
 
 def _in_range(n: int, *ks) -> bool:
-    """Whether every k is a 1-based index of n rows or vertices; every index check uses it."""
-    index = range(1, n + 1)
+    """Whether every k is a vertex of an n-vertex graph or a row of an n x n matrix.
+
+    That is an exact ``int`` with 0 < k <= n: ``bool``, ``float`` and numpy
+    integers are not.  This is the one check of a vertex or an index; only
+    ``ColoredGraph``'s per-edge test spells it inline.
+    """
     for k in ks:
-        if k not in index:
+        if k.__class__ is not int or not 0 < k <= n:
             return False
     return True
 

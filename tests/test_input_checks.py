@@ -2,7 +2,14 @@
 
 import pytest
 
-from graphpick.graphs import ColoredGraph, GraphFormatError, distance, graph_from_json, retract
+from graphpick.graphs import (
+    ColoredGraph,
+    GraphFormatError,
+    distance,
+    graph_from_json,
+    relabel,
+    retract,
+)
 from graphpick.laurent import contact_order, level_curve, walk_generating_series
 from graphpick.linalg import SymMatrix, inverse_entry, schur_reduce
 from graphpick.nevanlinna import representing_function
@@ -67,6 +74,42 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
             ValueError,
             r"vertex 1\.5 out of range 1\.\.3",
         ),
+        # a vertex or index is an exact int in 1..n: not 0, not a bool, not a float
+        (lambda: PATH3.color(0), ValueError, r"vertex 0 out of range 1\.\.3"),
+        (lambda: PATH3.color(4), ValueError, r"vertex 4 out of range 1\.\.3"),
+        (
+            lambda: representing_function(PATH3, True),
+            ValueError,
+            r"vertex True out of range 1\.\.3",
+        ),
+        (
+            lambda: representing_function(PATH3, 2.0),
+            ValueError,
+            r"vertex 2\.0 out of range 1\.\.3",
+        ),
+        (lambda: retract(PATH3, 2.0, [3]), ValueError, r"cut vertex 2\.0 out of range"),
+        (
+            lambda: ColoredGraph(PATH3.colors, PATH3.edges, root=2.0),
+            ValueError,
+            r"root 2\.0 out of range 1\.\.3",
+        ),
+        (
+            lambda: ColoredGraph.build(["z", "z"], [(1.0, 2)]),
+            ValueError,
+            r"edge \(1\.0, 2\) out of range",
+        ),
+        (
+            lambda: ColoredGraph.build(["z", "z"], [(True, 2)]),
+            ValueError,
+            r"edge \(True, 2\) out of range",
+        ),
+        (lambda: distance(PATH3, True, 3), ValueError, "vertex out of range"),
+        (lambda: relabel(PATH3, [True, 3, 2]), ValueError, "not a bijection of 1..n"),
+        (
+            lambda: inverse_entry(IDENTITY2, True),
+            ValueError,
+            r"index \(True, True\) out of range for a 2x2",
+        ),
     ],
     ids=[
         "unknown-variable",
@@ -104,6 +147,17 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         "graph-edge-id",
         "repfun-vertex",
         "repfun-fractional-vertex",
+        "color-vertex-zero",
+        "color-vertex-past-n",
+        "repfun-bool-vertex",
+        "repfun-float-vertex",
+        "retract-float-cut",
+        "graph-float-root",
+        "graph-float-edge",
+        "graph-bool-edge",
+        "distance-bool-vertex",
+        "relabel-bool",
+        "inverse-entry-bool-index",
     ],
 )
 def test_input_check_raises(call, error, message):
