@@ -5,9 +5,11 @@ coefficients are rational functions of lam alone (plain rationals for walk
 series).  Negative orders carry the polynomial part.
 
 Every series comes from the one fraction-free power-series division in
-``expand_at_infinity``: it runs in polynomial arithmetic only and leaves
-the m-th coefficient as C_m / b0^(m+1), which is reduced once when the
-series is built.
+``expand_at_infinity``: it takes ring products only and leaves the m-th
+coefficient as C_m / b0^(m+1), which is reduced once when the series is
+built.  The division runs on one of two element types, as
+``linalg.eliminate`` does: Python ints when every z-coefficient it reads is
+a constant, as in every walk series, and polynomials in lam otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Z_COLOR, ColoredGraph, colored_adjacency, distance
-from .linalg import _in_range, inverse_entry
+from .linalg import _identity, _in_range, inverse_entry
 from .nevanlinna import representing_function
 from .ratfun import Polynomial, RatFun
 
@@ -85,6 +87,9 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
 
     The substitution z = 1/u turns the quotient into a power-series
     division at u = 0 of the z-coefficients, which are polynomials in lam.
+    When all those it reads are constants the division runs on ints, and
+    each coefficient is built from them with ``Polynomial.integer``;
+    otherwise it runs on the polynomials.
     """
     if r.degree("w") > 0:
         raise ValueError("expected a function of z and lam only")
@@ -98,20 +103,28 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     count = order - start + 1
     a = [num_prof.get(dp - m, _P_ZERO) for m in range(min(count, dp + 1))]
     b = [den_prof.get(dq - m, _P_ZERO) for m in range(min(count, dq + 1))]
+    # Every walk series has constant a_m and b_i, as A - zI has no lam: then
+    # the recurrence runs on ints and ``lift`` makes each one a Polynomial.
+    if all(p.is_constant for p in (*a, *b)):
+        a = [p.leading_coefficient() for p in a]
+        b = [p.leading_coefficient() for p in b]
+        zero, one, lift = 0, 1, Polynomial.integer
+    else:
+        zero, one, lift = _P_ZERO, _P_ONE, _identity
     # a/b = sum_m C_m u^m / b0^(m+1) with C_m = a_m*b0^m - sum_(i=1..m)
-    # b_i*C_(m-i)*b0^(i-1): polynomial products only, no division until the
-    # one RatFun per coefficient; missing a_m, b_i are 0.
+    # b_i*C_(m-i)*b0^(i-1): ring products only, no division until the one
+    # RatFun per coefficient; missing a_m, b_i are 0.
     b0 = b[0]
-    powers = [_P_ONE]
-    out: list[Polynomial] = []
+    powers = [one]
+    out = []
     for m in range(count):
-        acc = a[m] * powers[m] if m < len(a) else _P_ZERO
+        acc = a[m] * powers[m] if m < len(a) else zero
         for i in range(1, min(m, len(b) - 1) + 1):
             if b[i]:
                 acc = acc - b[i] * out[m - i] * powers[i - 1]
         out.append(acc)
         powers.append(powers[m] * b0)
-    coeffs = tuple(RatFun(c, powers[m + 1]) for m, c in enumerate(out))
+    coeffs = tuple(RatFun(lift(c), lift(powers[m + 1])) for m, c in enumerate(out))
     return LaurentSeries(start, coeffs)
 
 

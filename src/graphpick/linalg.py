@@ -69,7 +69,27 @@ degree, so their gcd is the gcd of their contents:
   |g(2^s)| >= prod |2^s - r| > (3 * 2^(s-2) - 1)^deg(g) >= 2^(s-1);
 * g(2^s) divides P and Q, hence h, so h < 2^(s-1) rules G out.
 
-Otherwise the result is reduced by ``RatFun`` and its polynomial gcd.
+Where h >= 2^(s-1), h is lifted: u is the polynomial whose image is h, read
+off h's balanced digits by the same unpacking, and g is u's primitive part
+with a positive leading coefficient.  If g divides p and q exactly, g is
+their gcd up to an integer, so p/g and q/g again share only the gcd of their
+contents.  This is GCDHEU's acceptance test (Char, Geddes & Gonnet, JSC
+1989) at the point 2^s:
+
+* u(2^s) = h, so h = c * g(2^s) with c = u/g the signed content of u, and
+  0 < |c| <= 2^(s-1), as every balanced digit is at most 2^(s-1);
+* let D be the gcd of p and q.  The primitive g divides p and q, so
+  D = g*k for a polynomial k.  Substitution is a ring map, so D(2^s)
+  divides P and Q, hence h, and k(2^s) divides c;
+* k divides q, so were its degree positive, Cauchy's bound as above would
+  give |k(2^s)| > (3 * 2^(s-2) - 1)^deg(k) >= 2^(s-1) >= |c|, and k(2^s)
+  could not divide c.  So k is an integer.
+
+When a division is inexact (h then carries a factor that is no image of a
+common factor, such as a power of 2^s shared by two images without a
+constant digit) or the unpacking raises ``ValueError``, and for every matrix
+with denominators, the result is reduced by ``RatFun`` and its polynomial
+gcd.
 
 The image spans prod(D_v + 1) digits of s bits, and the loop runs on
 ``Polynomial`` values instead when that box exceeds ``_DIGITS_PER_TERM``
@@ -83,10 +103,18 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import chain
 from typing import Collection, Iterable, Sequence
 
-from .ratfun import _DIGITS_PER_TERM, Polynomial, RatFun, _is_one, _sign_fix, poly_gcd, poly_lcm
+from .ratfun import (
+    _DIGITS_PER_TERM,
+    Polynomial,
+    RatFun,
+    _is_one,
+    _normalize_content_sign,
+    _sign_fix,
+    poly_gcd,
+    poly_lcm,
+)
 
 _P_ONE = Polynomial.one()
 _P_ZERO = Polynomial.zero()
@@ -102,7 +130,8 @@ def _in_range(n: int, *ks) -> bool:
 
     That is an exact ``int`` with 0 < k <= n: ``bool``, ``float`` and numpy
     integers are not.  This is the one check of a vertex or an index; only
-    ``ColoredGraph``'s per-edge test spells it inline.
+    ``ColoredGraph``'s per-edge test and ``SymMatrix``'s per-entry test spell
+    it inline.
     """
     for k in ks:
         if k.__class__ is not int or not 0 < k <= n:
@@ -121,15 +150,16 @@ class SymMatrix:
     __slots__ = ("n", "_entries")
 
     def __init__(self, n: int, entries: dict[tuple[int, int], RatFun]):
-        # each distinct index once, not once per entry
-        if not _in_range(n, *set(chain.from_iterable(entries))):
-            bad = next(ij for ij in entries if not _in_range(n, *ij))
-            raise ValueError(f"matrix index {bad} out of range for a {n}x{n} matrix")
         # (i, j) with i <= j -> nonzero entry
         stored: dict[tuple[int, int], RatFun] = {}
         for (i, j), e in entries.items():
-            if i > j:
-                raise ValueError(f"matrix index ({i}, {j}) is below the diagonal")
+            # _in_range's rule on every key, not on the set of distinct
+            # indices, where True and 2.0 merge into 1 and 2; inline, as a
+            # call per entry would add about half to the time this loop takes
+            if not (i.__class__ is int is j.__class__ and 0 < i <= j <= n):
+                if _in_range(n, i, j):
+                    raise ValueError(f"matrix index ({i}, {j}) is below the diagonal")
+                raise ValueError(f"matrix index {(i, j)} out of range for a {n}x{n} matrix")
             e = e if isinstance(e, RatFun) else RatFun(e)
             if e:
                 stored[i, j] = e
@@ -251,12 +281,21 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
         images, unpack, slot = image
         one = 1
         b = {ij: images[p] for ij, p in b.items()}
-        # the coprimality rule of the module docstring needs every scale 1
+        # the coprimality and lift rules of the module docstring need every scale 1
         half = 1 << (slot - 1) if unit else 0
 
     def quotient(num, den=one, num_scale=_P_ONE, den_scale=_P_ONE) -> RatFun:
         p, q = unpack(num), unpack(den)
-        if half and math.gcd(num, den) < half:
+        if half:
+            h = math.gcd(num, den)
+            if h >= half:
+                # the lift rule: the primitive part g of h's polynomial, when
+                # it divides p and q, is their gcd up to an integer
+                try:
+                    g = _normalize_content_sign(unpack(h))
+                    p, q = p.exact_div(g), q.exact_div(g)
+                except ValueError:
+                    return RatFun(p, q)
             # p and q share no factor of positive degree, so their gcd is
             # the gcd of their contents
             c = math.gcd(p.content(), q.content())

@@ -110,6 +110,18 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
             ValueError,
             r"index \(True, True\) out of range for a 2x2",
         ),
+        # every key is checked, not the set of distinct indices, where True
+        # and 2.0 would merge into the valid 1 and 2 next to them
+        (
+            lambda: SymMatrix(2, {(1, 1): 1, (True, 2): 1, (2, 2): 1}),
+            ValueError,
+            r"matrix index \(True, 2\) out of range for a 2x2",
+        ),
+        (
+            lambda: SymMatrix(2, {(1, 2): 1, (2.0, 2): 1}),
+            ValueError,
+            r"matrix index \(2\.0, 2\) out of range for a 2x2",
+        ),
     ],
     ids=[
         "unknown-variable",
@@ -158,6 +170,8 @@ EDGE_OUT_OF_RANGE = {"vertices": [{"id": 1, "color": "z"}], "edges": [[1, 2]], "
         "distance-bool-vertex",
         "relabel-bool",
         "inverse-entry-bool-index",
+        "sym-matrix-bool-key",
+        "sym-matrix-float-key",
     ],
 )
 def test_input_check_raises(call, error, message):

@@ -15,7 +15,7 @@ from graphpick.laurent import (
 from graphpick.nevanlinna import representing_function
 from graphpick.ratfun import LAM, Polynomial, RatFun, parse_ratfun
 
-from oracles import contact_order_oracle
+from oracles import contact_order_oracle, series_quotient
 
 z = Polynomial.variable("z")
 w = Polynomial.variable("w")
@@ -195,34 +195,53 @@ def test_walk_series_diagonal_starts_at_one():
 
 
 def _matrix_power_walks(g: ColoredGraph, i: int, j: int, n: int) -> int:
-    size = g.n
-    a = [[0] * size for _ in range(size)]
-    for u, v in g.edges:
-        a[u - 1][v - 1] = 1
-        a[v - 1][u - 1] = 1
-    power = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
+    """(A^n)_ij, A the adjacency matrix: row i of A^n by n products with A."""
+    row = [0] * (g.n + 1)
+    row[i] = 1
     for _ in range(n):
-        power = [
-            [sum(power[r][k] * a[k][c] for k in range(size)) for c in range(size)]
-            for r in range(size)
-        ]
-    return power[i - 1][j - 1]
+        step = [0] * (g.n + 1)
+        for u, v in g.edges:
+            step[u] += row[v]
+            step[v] += row[u]
+        row = step
+    return row[j]
 
 
 def test_walk_series_counts_walks():
     rng = random.Random(17)
+    cases = []
     for _ in range(8):
         g = random_colored_graph(rng, 5)
-        i = rng.randint(1, g.n)
-        j = rng.randint(1, g.n)
-        s = walk_generating_series(g, i, j, 10)
-        for n in range(0, 10):
+        cases.append((g, rng.randint(1, g.n), rng.randint(1, g.n), 10))
+    # dense graphs and a long path, whose long series the recurrence runs on ints
+    for n in range(8, 13):
+        g = random_colored_graph(random.Random(n), n, min_vertices=n, edge_prob=0.5, connected=True)
+        cases += [(g, 1, 1, 12), (g, 1, n, 12)]
+    path = ColoredGraph.build(["z"] * 40, [(v, v + 1) for v in range(1, 40)])
+    cases += [(path, 1, 40, 60), (path, 20, 21, 60)]
+    for g, i, j, order in cases:
+        s = walk_generating_series(g, i, j, order)
+        for n in range(0, order):
             assert s.coefficient(n + 1) == rf(-_matrix_power_walks(g, i, j, n))
         d = distance(g, i, j)
         if d == float("inf"):
             assert s.coefficients == () or all(c.is_zero for c in s.coefficients)
         else:
             assert s.start_order == d + 1
+
+
+@pytest.mark.parametrize("num", [1, 2 * z + 7], ids=["one", "linear"])
+def test_constant_series_with_a_leading_coefficient_of_three(num):
+    # b0 = 3, so the m-th coefficient is C_m / 3^(m+1) with C_m from the
+    # fraction-free recurrence of oracles.series_quotient
+    r = rf(num, 3 * z**2 + z + 5)
+    a = [r.num.coefficients("z").get(e, Polynomial.zero()) for e in range(r.num.degree("z"), -1, -1)]
+    b = [Polynomial.integer(c) for c in (3, 1, 5)]
+    s = expand_at_infinity(r, 14)
+    start = 2 - r.num.degree("z")
+    want = series_quotient(a, b, 15 - start)
+    assert s.start_order == start
+    assert list(s.coefficients) == [rf(c, 3 ** (m + 1)) for m, c in enumerate(want)]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Matrix
 from sympy.polys.domains import QQ_I
@@ -616,6 +616,70 @@ def test_image_gcd_reduction_divides_out_a_factor_just_below_the_slot():
     # threshold of 2^s would take the pair as coprime
     m = SymMatrix(3, {(1, 1): z - 1, (2, 2): z, (2, 3): 1, (3, 3): w})
     assert str(inverse_entry(m, 2)) == "(w)/(z*w - 1)"
+
+
+# Entry (1, 1) of [[x, g*c], [g*c, g*a]]^-1 is g*a / (g*(x*a - g*c^2)), the
+# pivot over the determinant, whose integer images both hold g's image.
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0)),
+    _COEFFICIENTS,
+    min_size=1,
+    max_size=3,
+).map(Polynomial.from_terms)
+
+
+def _sharing(g, a, c, x):
+    return SymMatrix(2, {(1, 1): x, (1, 2): g * c, (2, 2): g * a})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _SMALL_POLYS.filter(lambda p: not p.is_constant),
+    st.sampled_from((1, 2, 6)),
+    _SMALL_POLYS,
+    _SMALL_POLYS,
+    _SMALL_POLYS,
+)
+def test_lifted_image_gcd_matches_the_polynomial_gcd(g, content, a, c, x):
+    """g*a over g*b, read off the integer images, reduces as RatFun reduces it."""
+    g = content * g
+    b = x * a - g * c * c
+    assume(b)
+    m = _sharing(g, a, c, x)
+    assert linalg._integer_image(_upper(m)) is not None
+    assert inverse_entry(m, 1) == RatFun(g * a, g * b)
+
+
+def test_lifted_image_gcd_needs_no_polynomial_gcd(monkeypatch):
+    # g = 2*(z + 1): the lift divides out z + 1 and the contents' gcd the 2
+    m = _sharing(2 * (z + 1), z, 1, w)
+
+    def refuse(a, b):
+        raise AssertionError("the polynomial gcd ran")
+
+    monkeypatch.setattr(ratfun, "_gcd_full", refuse)
+    assert str(inverse_entry(m, 1)) == "(z)/(z*w - 2*z - 2)"
+
+
+def test_a_lift_that_does_not_divide_falls_back_to_the_polynomial_gcd(monkeypatch):
+    # z + w and w*z + w^2 - z^2 are coprime, but neither has a constant
+    # term, so both images are multiples of X = 2^s: the image gcd is at
+    # least 2^(s-1), and its lift, a multiple of z, divides neither
+    m = _sharing(1, z + w, z, w)
+    left, pivot, _, unpack, _ = linalg.eliminate(m, {1})
+    p, q = unpack(pivot), unpack(left[1][1])
+    assert (p, q) == (z + w, w * z + w * w - z * z)
+    h = math.gcd(pivot, left[1][1])
+    assert h >= 1 << (_slot(unpack) - 1)
+    lifted = ratfun._normalize_content_sign(unpack(h))
+    assert not lifted.is_constant and not lifted.divides(p)
+    calls = []
+    gcd = ratfun._gcd_full
+    monkeypatch.setattr(ratfun, "_gcd_full", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    f = inverse_entry(m, 1)
+    assert calls
+    assert f == RatFun(p, q)
+    assert str(f) == "(-z - w)/(z^2 - z*w - w^2)"
 
 
 def test_inverse_entry_across_blocks_is_zero():
