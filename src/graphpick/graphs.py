@@ -187,7 +187,7 @@ def retract(
     they induce a piece attached to the rest of the graph only at ``cut``.
     The cut vertex is recolored with minus the reciprocal of the pendant
     piece's representing function at the cut, which leaves the root
-    representing function unchanged.
+    representing function unchanged.  An empty ``k_subgraph`` returns ``g``.
     """
     n = g.n
     ks = set(k_subgraph)
@@ -205,6 +205,9 @@ def retract(
             raise ValueError(
                 f"edge ({i}, {j}) crosses the retraction cut away from vertex {cut}"
             )
+    if not ks:
+        # nothing hangs off the cut, so the graph is its own retraction
+        return g
 
     # pendant piece rooted at the cut, with the cut's original color
     piece = _renumber(g, [cut] + sorted(ks), cut)

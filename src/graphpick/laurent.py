@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Z_COLOR, ColoredGraph, colored_adjacency, distance
-from .linalg import _identity, _in_range, inverse_entry
+from .linalg import _in_range, inverse_entry
 from .nevanlinna import representing_function
 from .ratfun import Polynomial, RatFun
 
@@ -88,8 +88,7 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     The substitution z = 1/u turns the quotient into a power-series
     division at u = 0 of the z-coefficients, which are polynomials in lam.
     When all those it reads are constants the division runs on ints, and
-    each coefficient is built from them with ``Polynomial.integer``;
-    otherwise it runs on the polynomials.
+    otherwise on the polynomials; ``RatFun`` takes either.
     """
     if r.degree("w") > 0:
         raise ValueError("expected a function of z and lam only")
@@ -104,27 +103,25 @@ def expand_at_infinity(r: RatFun, order: int) -> LaurentSeries:
     a = [num_prof.get(dp - m, _P_ZERO) for m in range(min(count, dp + 1))]
     b = [den_prof.get(dq - m, _P_ZERO) for m in range(min(count, dq + 1))]
     # Every walk series has constant a_m and b_i, as A - zI has no lam: then
-    # the recurrence runs on ints and ``lift`` makes each one a Polynomial.
+    # the recurrence runs on ints.
     if all(p.is_constant for p in (*a, *b)):
         a = [p.leading_coefficient() for p in a]
         b = [p.leading_coefficient() for p in b]
-        zero, one, lift = 0, 1, Polynomial.integer
-    else:
-        zero, one, lift = _P_ZERO, _P_ONE, _identity
     # a/b = sum_m C_m u^m / b0^(m+1) with C_m = a_m*b0^m - sum_(i=1..m)
     # b_i*C_(m-i)*b0^(i-1): ring products only, no division until the one
-    # RatFun per coefficient; missing a_m, b_i are 0.
+    # RatFun per coefficient; missing a_m, b_i are 0.  The ints 0 and 1
+    # start it on either element type.
     b0 = b[0]
-    powers = [one]
+    powers = [1]
     out = []
     for m in range(count):
-        acc = a[m] * powers[m] if m < len(a) else zero
+        acc = a[m] * powers[m] if m < len(a) else 0
         for i in range(1, min(m, len(b) - 1) + 1):
             if b[i]:
                 acc = acc - b[i] * out[m - i] * powers[i - 1]
         out.append(acc)
         powers.append(powers[m] * b0)
-    coeffs = tuple(RatFun(lift(c), lift(powers[m + 1])) for m, c in enumerate(out))
+    coeffs = tuple(RatFun(c, powers[m + 1]) for m, c in enumerate(out))
     return LaurentSeries(start, coeffs)
 
 

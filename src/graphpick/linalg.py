@@ -51,45 +51,43 @@ one byte string in linear time.  An entry is zero exactly when its image
 is, so the order, the block pivots and ``keep`` act as they do on
 polynomials.
 
-Where B has no denominators, so that every scale is 1, a result p/q is
-reduced without the polynomial gcd when the images prove it coprime.  Here
-p and q are nonzero sums of at most four minors of B with images P and Q,
-and if h = gcd(P, Q) < 2^(s-1), p and q share no factor of positive
-degree, so their gcd is the gcd of their contents:
+Every result of the integer route is reduced by one rule, the lift rule,
+whatever the scales.  A result is p * ns / (q * ds): ns and ds are its
+scales, and p and q, with images P and Q, are nonzero sums of at most four
+minors of B, bounded as the entries above are, however B's rows were
+scaled.  Let h = gcd(P, Q).  The lift u is the polynomial whose image is
+h, read off h's balanced digits by the same unpacking, and g is u's
+primitive part with a positive leading coefficient.  If g divides p and q
+exactly, g is their gcd up to an integer, so p/g and q/g share only the
+gcd of their contents.  This is GCDHEU's acceptance test (Char, Geddes &
+Gonnet, JSC 1989) at the point 2^s:
 
 * every balanced digit of P and Q is at most 4H < 2^(s-2) in absolute
   value.  This is why the slot has ``+ 2``: one bit of margin makes the
-  digits balanced, the second is this rule's;
-* a common factor G of positive degree divides q, so its degrees lie in the
-  box, and g(t) = G(t, t^(D_z+1), t^((D_z+1)(D_w+1))) is a nonconstant
-  integer polynomial that divides q's digit polynomial q(t), with
-  q(2^s) = Q;
-* by Cauchy's bound every root r of q(t), so every root of g(t), has
-  |r| < 1 + 2^(s-2), and the product over g's roots gives
-  |g(2^s)| >= prod |2^s - r| > (3 * 2^(s-2) - 1)^deg(g) >= 2^(s-1);
-* g(2^s) divides P and Q, hence h, so h < 2^(s-1) rules G out.
-
-Where h >= 2^(s-1), h is lifted: u is the polynomial whose image is h, read
-off h's balanced digits by the same unpacking, and g is u's primitive part
-with a positive leading coefficient.  If g divides p and q exactly, g is
-their gcd up to an integer, so p/g and q/g again share only the gcd of their
-contents.  This is GCDHEU's acceptance test (Char, Geddes & Gonnet, JSC
-1989) at the point 2^s:
-
-* u(2^s) = h, so h = c * g(2^s) with c = u/g the signed content of u, and
-  0 < |c| <= 2^(s-1), as every balanced digit is at most 2^(s-1);
+  digits balanced, the second is this rule's.  So by Cauchy's bound every
+  root r of q's digit polynomial q(t), with q(2^s) = Q, has
+  |r| < 1 + 2^(s-2), and a nonconstant integer polynomial k(t) that
+  divides q(t) has |k(2^s)| >= prod |2^s - r| over its roots, more than
+  (3 * 2^(s-2) - 1)^deg(k) >= 2^(s-1);
+* the unpacking is exact or raises, so u(2^s) = h, and h = c * g(2^s)
+  with c = u/g the signed content of u, and 0 < |c| <= 2^(s-1), as every
+  balanced digit is at most 2^(s-1);
 * let D be the gcd of p and q.  The primitive g divides p and q, so
   D = g*k for a polynomial k.  Substitution is a ring map, so D(2^s)
   divides P and Q, hence h, and k(2^s) divides c;
-* k divides q, so were its degree positive, Cauchy's bound as above would
-  give |k(2^s)| > (3 * 2^(s-2) - 1)^deg(k) >= 2^(s-1) >= |c|, and k(2^s)
+* k divides q, so its degrees lie in the box, and were its degree
+  positive, k(t) = k(t, t^(D_z+1), t^((D_z+1)(D_w+1))) would be a
+  nonconstant divisor of q(t) with |k(2^s)| > 2^(s-1) >= |c|, and k(2^s)
   could not divide c.  So k is an integer.
 
-When a division is inexact (h then carries a factor that is no image of a
-common factor, such as a power of 2^s shared by two images without a
-constant digit) or the unpacking raises ``ValueError``, and for every matrix
-with denominators, the result is reduced by ``RatFun`` and its polynomial
-gcd.
+When h < 2^(s-1), h is one balanced digit, so u is the constant h, g = 1
+and the trial divisions are skipped.  Where B has denominators, the reduced
+p/q is then multiplied by ``RatFun(ns, ds)``; a product of two reduced
+fractions cancels only gcd(p, ds) and gcd(ns, q).  When a division is
+inexact (h then carries a factor that is no image of a common factor, such
+as a power of 2^s shared by two images without a constant digit) or the
+unpacking raises ``ValueError``, p * ns / (q * ds) is reduced by ``RatFun``
+and its polynomial gcd.
 
 The image spans prod(D_v + 1) digits of s bits, and the loop runs on
 ``Polynomial`` values instead when that box exceeds ``_DIGITS_PER_TERM``
@@ -281,8 +279,7 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
         images, unpack, slot = image
         one = 1
         b = {ij: images[p] for ij, p in b.items()}
-        # the coprimality and lift rules of the module docstring need every scale 1
-        half = 1 << (slot - 1) if unit else 0
+        half = 1 << (slot - 1)
 
     def quotient(num, den=one, num_scale=_P_ONE, den_scale=_P_ONE) -> RatFun:
         p, q = unpack(num), unpack(den)
@@ -295,14 +292,15 @@ def eliminate(m: SymMatrix, keep: Collection[int]):
                     g = _normalize_content_sign(unpack(h))
                     p, q = p.exact_div(g), q.exact_div(g)
                 except ValueError:
-                    return RatFun(p, q)
+                    return RatFun(p * num_scale, q * den_scale)
             # p and q share no factor of positive degree, so their gcd is
             # the gcd of their contents
             c = math.gcd(p.content(), q.content())
             if c != 1:
                 c = Polynomial.integer(c)
                 p, q = p // c, q // c
-            return RatFun._raw(*_sign_fix(p, q))
+            r = RatFun._raw(*_sign_fix(p, q))
+            return r if unit else r * RatFun(num_scale, den_scale)
         return RatFun(p * num_scale, q * den_scale)
 
     # cell = [value, generation]; both triangles share one cell

@@ -387,13 +387,17 @@ class Polynomial:
         """The polynomial whose ``to_kronecker`` image is ``value``.
 
         Reads the balanced base-2^slot digits of ``value`` from one byte
-        string, so the cost is linear in its size.
+        string, so the cost is linear in its size.  Raises ``ValueError``
+        when a carry is left out of the top digit read: then no polynomial
+        whose coefficients are below 2^(slot-1) in absolute value has the
+        image ``value``.
         """
         width = slot >> 3
         half, full = 1 << (slot - 1), 1 << slot
         sign = -1 if value < 0 else 1
         value = abs(value)
-        # every digit is below 2^(slot-1), so nothing carries out of the top one
+        # the image of coefficients below 2^(slot-1) ends within these
+        # digits; a carry out of the top one is refused below
         data = value.to_bytes(width * (value.bit_length() // slot + 1), "little")
         # each digit's key steps from the last, z fastest; _pack checks the box's far corner
         _pack(dz, dw, (len(data) // width - 1) // ((dz + 1) * (dw + 1)))
@@ -413,6 +417,8 @@ class Polynomial:
                 key += wnext
             else:
                 key = (key & _MASK) + 1
+        if carry:
+            raise ValueError(f"the value carries out of its top base-2^{slot} digit")
         return cls(out)
 
     # ------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_retract(capsys, write_graph):
     assert reduced.color(4).kind == "general"
 
 
+def test_retract_without_a_subgraph_keeps_the_graph(capsys, write_graph):
+    # the default --subgraph is empty: nothing is retracted, the w vertex
+    # keeps its color "w", and contact reads the output as it reads the input
+    code, out, _ = run(capsys, "retract", write_graph(CONTACT), "--cut", "2")
+    assert code == 0
+    assert json.loads(out) == CONTACT
+    code, out, _ = run(capsys, "contact", write_graph(json.loads(out), "retracted.json"))
+    assert code == 0
+    assert out == '{"order":4,"distance":2,"consistent":true}\n'
+
+
 def test_contact_exact_output(capsys, write_graph):
     code, out, _ = run(capsys, "contact", write_graph(CONTACT))
     assert code == 0

@@ -295,7 +295,7 @@ def test_schur_rejects_singular_block():
 
 def test_schur_consistency_random():
     rng = random.Random(77)
-    done = 0
+    done = scaled = 0
     while done < 10:
         n = rng.randint(2, 6)
         m = _random_ratfun_matrix(rng, n)
@@ -311,9 +311,14 @@ def test_schur_consistency_random():
             if determinant(block).is_zero:
                 continue
         reduced = schur_reduce(m, keep)
+        # a Schur complement has denominators, and on the integer route
+        # the image rule reduces every result read off it
+        assert isinstance(linalg.eliminate(reduced, ())[1], int)
+        scaled += any(e.den != 1 for row in reduced.rows for e in row)
         assert inverse_entry(m, k) == inverse_entry(reduced, keep.index(k) + 1)
         assert inverse_entry(m, k) == cofactor_inverse_entry(m.rows, k, k)
         done += 1
+    assert scaled >= 5
 
 
 def test_inverse_entry_matches_numeric_lu():
@@ -662,24 +667,30 @@ def test_lifted_image_gcd_needs_no_polynomial_gcd(monkeypatch):
 
 
 def test_a_lift_that_does_not_divide_falls_back_to_the_polynomial_gcd(monkeypatch):
-    # z + w and w*z + w^2 - z^2 are coprime, but neither has a constant
-    # term, so both images are multiples of X = 2^s: the image gcd is at
-    # least 2^(s-1), and its lift, a multiple of z, divides neither
-    m = _sharing(1, z + w, z, w)
-    left, pivot, _, unpack, _ = linalg.eliminate(m, {1})
-    p, q = unpack(pivot), unpack(left[1][1])
-    assert (p, q) == (z + w, w * z + w * w - z * z)
-    h = math.gcd(pivot, left[1][1])
-    assert h >= 1 << (_slot(unpack) - 1)
-    lifted = ratfun._normalize_content_sign(unpack(h))
-    assert not lifted.is_constant and not lifted.divides(p)
+    # p = z + w and q = d*(w*z + w^2 - z^2*d) are coprime, but neither has a
+    # constant term, so both images are multiples of X = 2^s: the image gcd is at
+    # least 2^(s-1), and its lift, a multiple of z, divides neither.  With
+    # d = z + 1 row 1 is scaled by d, and the fallback keeps scale(1, 1) = d^2.
     calls = []
     gcd = ratfun._gcd_full
     monkeypatch.setattr(ratfun, "_gcd_full", lambda a, b: calls.append((a, b)) or gcd(a, b))
-    f = inverse_entry(m, 1)
-    assert calls
-    assert f == RatFun(p, q)
-    assert str(f) == "(-z - w)/(z^2 - z*w - w^2)"
+    for d, text in (
+        (1, "(-z - w)/(z^2 - z*w - w^2)"),
+        (z + 1, "(-z^2 - z*w - z - w)/(z^3 + z^2 - z*w - w^2)"),
+    ):
+        m = _sharing(1, z + w, z, RatFun(w, d))
+        left, pivot, scale, unpack, _ = linalg.eliminate(m, {1})
+        p, q = unpack(pivot), unpack(left[1][1])
+        assert (p, q) == (z + w, d * (w * z + w * w - z * z * d))
+        assert scale(1, 1) == d * d
+        h = math.gcd(pivot, left[1][1])
+        assert h >= 1 << (_slot(unpack) - 1)
+        lifted = ratfun._normalize_content_sign(unpack(h))
+        assert not lifted.is_constant and not lifted.divides(p)
+        f = inverse_entry(m, 1)
+        assert (p * d * d, q) in calls
+        assert f == RatFun(p * d * d, q) == cofactor_inverse_entry(m.rows, 1, 1)
+        assert str(f) == text
 
 
 def test_inverse_entry_across_blocks_is_zero():
@@ -761,11 +772,11 @@ def test_unit_denominators_are_checked_by_value(monkeypatch):
     assert f == rf(w, z * w - 1)
 
 
-def test_a_real_denominator_keeps_the_scaled_route():
+def test_a_real_denominator_is_multiplied_back_after_the_image_rule():
     # One denominator: B = [[z, z + 1], [z + 1, z + 1]] and scale(2, 2) =
-    # (z + 1)^2.  Entry (2, 2) = -z*(z + 1) is read off z and -(z + 1), whose
-    # images are coprime; the coprimality rule, which drops the scales, would
-    # return -z/(z + 1).
+    # (z + 1)^2.  Entry (2, 2) = -z*(z + 1) is read off z over -(z + 1), whose
+    # images are coprime: the image rule gives -z/(z + 1), and the product
+    # with the scale cancels z + 1 from (z + 1)^2.
     rows = [[RatFun(z * w, w), 1], [1, RatFun(1, z + 1)]]
     m = SymMatrix.from_rows(rows)
     for keep in ((), {1}, {2}, {1, 2}):

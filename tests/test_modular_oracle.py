@@ -175,22 +175,34 @@ def test_heavy_weights_match_modular_oracle(route, monkeypatch):
     # Weights this large take the polynomial route unless it is overridden.
     # Forced onto integers, rows scaled by the rational weights' denominators
     # need slots of up to about 2000 bits, where CPython's quadratic division
-    # takes seconds per graph, so that run keeps to polynomial weights.
-    rational = route == "routed"
-    if not rational:
+    # takes seconds per graph from n = 10 on.  So that run draws polynomial
+    # weights at every n, then rational ones up to n = 8, whose results the
+    # image rule reduces before it multiplies the scales back.
+    integer = route == "integer"
+    if integer:
         monkeypatch.setattr(linalg, "_DIGITS_PER_TERM", 10**9)
         monkeypatch.setattr(linalg, "_MAX_SLOT", 10**9)
     rng = random.Random("modular-heavy-weights")
-    for n in (4, 5, 6, 8, 10, 12):
+    cases = [(n, not integer) for n in (4, 5, 6, 8, 10, 12)]
+    if integer:
+        cases += [(n, True) for n in (4, 5, 6, 8)]
+    scaled = 0
+    for n, rational in cases:
         g = _heavy_weights(rng, n, rational)
         for k in (None, 1, rng.randint(2, n)):
             order = [v for v in range(1, n + 1) if v != k]
             sub = _renumber(g, order, order[0])
-            det = determinant(colored_adjacency(sub))
+            m = colored_adjacency(sub)
+            if integer:
+                assert isinstance(linalg.eliminate(m, ())[1], int)
+                scaled += any(e.den != 1 for row in m.rows for e in row)
+            det = determinant(m)
             _agrees(rng, det, lambda p, sub=sub: determinant_mod(graph_matrix_mod(sub, p)))
             if not det.is_zero:
                 f = representing_function(sub)
                 _agrees(rng, f, lambda p, sub=sub: _root_value(sub, p))
+    if integer:
+        assert scaled >= 6
 
 
 def test_tree_reduction_stays_fast():
@@ -286,7 +298,12 @@ def test_retract_keeps_the_root_value_mod_p():
     rng = random.Random(31)
     for _ in range(6):
         g, cut, pendant = random_retract_instance(rng, max_base=8, max_pendant=4)
-        f = representing_function(retract(g, cut, pendant))
+        reduced = retract(g, cut, pendant)
+        # the cut's general color scales a row, and the image rule reduces f
+        m = colored_adjacency(reduced)
+        assert any(e.den != 1 for row in m.rows for e in row)
+        assert isinstance(linalg.eliminate(m, ())[1], int)
+        f = representing_function(reduced)
         _agrees(rng, f, lambda p: inverse_entry_mod(graph_matrix_mod(g, p), g.root, g.root))
 
 

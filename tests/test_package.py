@@ -1,12 +1,14 @@
-"""The package's public surface: its exports and README's library example."""
+"""The package's public surface: its exports and README's examples."""
 
 import contextlib
 import io
 import re
+import shlex
 import types
 from pathlib import Path
 
 import graphpick
+from graphpick import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +46,24 @@ def test_readme_library_example_prints_its_comments():
             assert got.startswith(want[:-3])
         else:
             assert got == want
+
+
+def test_readme_command_line_examples_print_their_output(tmp_path, monkeypatch, capsys):
+    """Each ``$ graphpick ...`` example prints the lines under it, once the
+    ``$ echo '...' > file`` lines before it have written their files."""
+    section = README.read_text(encoding="utf-8").split("\nExamples:\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ echo "):
+            text, name = re.fullmatch(r"\$ echo '(.*)' > (\S+)", line).groups()
+            (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        elif line.startswith("$ graphpick "):
+            runs.append((shlex.split(line.removeprefix("$ graphpick ")), []))
+        elif line:
+            runs[-1][1].append(line)
+    assert len(runs) == 3
+    for argv, expected in runs:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == expected

@@ -561,6 +561,12 @@ def test_kronecker_layout():
     assert Polynomial.zero().to_kronecker(8, 0, 0) == 0
     assert Polynomial.from_kronecker(0, 8, 0, 0) == Polynomial.zero()
     assert Polynomial.from_kronecker(2**8 - 1, 8, 1, 1) == z - 1
+    # 0x7FFF reads as digits -1, -2^7 and a carry of 1 out of the top one: no
+    # polynomial with coefficients below 2^7 has that image, so it is refused
+    # rather than read as -128*lam - 1
+    for value in (0x7FFF, -0x7FFF):
+        with pytest.raises(ValueError, match="carries out of its top"):
+            Polynomial.from_kronecker(value, 8, 0, 0)
 
 
 @st.composite
